@@ -292,14 +292,18 @@ impl CancelToken {
 /// the worker force-flushes on blocking waits, stage end, and every
 /// `STEP_BATCH` retired instructions, and consumers never wait for a full
 /// chunk — so the policy only trades latency for synchronization
-/// throughput.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// throughput. The default is [`BatchPolicy::Auto`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Use this chunk size on every queue (1 = unbatched, the default).
+    /// Use this chunk size on every queue. `Fixed(1)` is the unbatched
+    /// runtime: every produce is its own flush and every consume its own
+    /// refill, which is also the per-value cadence fault stalls count in.
     Fixed(usize),
     /// Derive the chunk size from the queue capacity:
     /// `(capacity / 2).clamp(1, 16)` — half the queue so producer and
-    /// consumer can overlap, capped where the returns flatten out.
+    /// consumer can overlap, capped where the returns flatten out. That is
+    /// 16 at the default capacity of 32, and 1 for capacities 1–3.
+    #[default]
     Auto,
 }
 
@@ -313,19 +317,14 @@ impl BatchPolicy {
     }
 }
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::Fixed(1)
-    }
-}
-
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct RtConfig {
     /// Capacity of every synchronization-array queue, in values. The paper
     /// models a 32-entry-per-queue synchronization array (Section 2.1).
     pub queue_capacity: usize,
-    /// Communication batch (chunk) size policy applied to every queue.
+    /// Communication batch (chunk) size policy applied to every queue
+    /// (default [`BatchPolicy::Auto`]).
     pub batch: BatchPolicy,
     /// Per-queue batch-size overrides (indexed by queue id; entries beyond
     /// the vector fall back to [`RtConfig::batch`]). Lets the pipeline map
@@ -345,7 +344,8 @@ pub struct RtConfig {
     /// [`RtError::Cancelled`].
     pub cancel: Option<CancelToken>,
     /// Deterministic fault-injection plan (chaos testing). `None` = no
-    /// faults, zero overhead on the worker hot path beyond a branch.
+    /// faults: the workers run a loop instance with the fault hooks
+    /// compiled out.
     pub faults: Option<FaultPlan>,
     /// Busy-spin iterations on a blocked queue operation before yielding.
     pub spins: u32,
@@ -379,17 +379,10 @@ impl RtConfig {
         self
     }
 
-    /// Sets a fixed communication batch size for every queue (1 =
-    /// unbatched).
+    /// Sets a fixed communication batch size for every queue, replacing
+    /// the default [`BatchPolicy::Auto`]. `batch(1)` runs unbatched.
     pub fn batch(mut self, n: usize) -> Self {
         self.batch = BatchPolicy::Fixed(n);
-        self
-    }
-
-    /// Derives the communication batch size from the queue capacity
-    /// ([`BatchPolicy::Auto`]).
-    pub fn batch_auto(mut self) -> Self {
-        self.batch = BatchPolicy::Auto;
         self
     }
 
@@ -433,6 +426,16 @@ impl RtConfig {
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
+    }
+
+    /// The capacity every queue of a run gets: [`RtConfig::queue_capacity`],
+    /// unless the fault plan overrides it (the "artificially tiny queues"
+    /// fault class). [`BatchPolicy::Auto`] resolves against this value.
+    pub fn effective_queue_capacity(&self) -> usize {
+        self.faults
+            .as_ref()
+            .and_then(|f| f.queue_capacity)
+            .unwrap_or(self.queue_capacity)
     }
 
     /// Tunes the blocked-queue backoff: `spins` busy-spin iterations, then
@@ -530,14 +533,7 @@ impl<'p> Runtime<'p> {
     pub fn run(&self) -> Result<RtResult, RtError> {
         let program = self.program;
         let num_threads = program.thread_entries().len();
-        // A fault plan may override the configured queue capacity (the
-        // "artificially tiny queues" fault class).
-        let queue_capacity = self
-            .config
-            .faults
-            .as_ref()
-            .and_then(|f| f.queue_capacity)
-            .unwrap_or(self.config.queue_capacity);
+        let queue_capacity = self.config.effective_queue_capacity();
         // Per-queue effective batch sizes, computed after the capacity
         // override so `BatchPolicy::Auto` tracks the real queue size.
         let base_chunk = self.config.batch.chunk(queue_capacity);
@@ -845,7 +841,7 @@ mod tests {
     fn tiny_queues_still_complete() {
         let p = ping_pong(500);
         for cap in [1, 2, 3] {
-            let r = run_native(&p, RtConfig::default().queue_capacity(cap)).unwrap();
+            let r = run_native(&p, RtConfig::default().queue_capacity(cap).batch(1)).unwrap();
             assert_eq!(r.memory[0], 124_750, "capacity {cap}");
             assert!(r.queues[0].max_occupancy <= cap);
         }
@@ -854,7 +850,7 @@ mod tests {
     #[test]
     fn batched_runs_match_unbatched_exactly() {
         let p = ping_pong(2_000);
-        let clean = run_native(&p, RtConfig::default().record_streams(true)).unwrap();
+        let clean = run_native(&p, RtConfig::default().record_streams(true).batch(1)).unwrap();
         let steps = |r: &RtResult| r.stages.iter().map(|s| s.steps).collect::<Vec<_>>();
         for batch in [2, 4, 16, 64] {
             let r = run_native(&p, RtConfig::default().record_streams(true).batch(batch))
@@ -867,9 +863,20 @@ mod tests {
     }
 
     #[test]
+    fn default_batch_is_auto() {
+        let policy = RtConfig::default().batch;
+        assert_eq!(policy, BatchPolicy::Auto);
+        assert_eq!(policy.chunk(32), 16);
+        for cap in [1, 2, 3] {
+            assert_eq!(policy.chunk(cap), 1, "capacity {cap}");
+        }
+        assert_eq!(BatchPolicy::Fixed(1).chunk(32), 1);
+    }
+
+    #[test]
     fn auto_batch_policy_completes_and_batches() {
         let p = ping_pong(2_000);
-        let r = run_native(&p, RtConfig::default().batch_auto()).unwrap();
+        let r = run_native(&p, RtConfig::default()).unwrap();
         assert_eq!(r.memory[0], 1_999_000);
         // Capacity 32 → chunk 16: the data queue must see real batches,
         // both at the queue level and in the per-stage histograms.

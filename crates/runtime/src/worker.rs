@@ -47,6 +47,11 @@
 //! chaos differential suite asserts the observable results stay
 //! bit-identical; lethal faults are converted by the recovery layer in
 //! `lib.rs` into structured [`RtError`]s.
+//!
+//! The per-instruction fault hook sits on the hottest path of the runtime,
+//! so the worker loop is instantiated twice: [`run_worker`] picks the
+//! instance with the hook compiled in only when a plan is present, and a
+//! run without faults never calls it.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -501,6 +506,17 @@ fn refill_queue(
 /// Runs hardware context `thread` to completion. Errors are reported to the
 /// monitor (first failure wins) and surface as an `Aborted` report.
 pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
+    if shared.faults.is_some() {
+        worker_loop::<true>(shared, thread)
+    } else {
+        worker_loop::<false>(shared, thread)
+    }
+}
+
+/// The worker loop proper. `FAULTS` selects whether the per-instruction
+/// [`FaultSession::on_step`] hook is compiled in; the flush/refill stall
+/// hook runs in both instances (it is per queue operation, not per step).
+fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     let started = Instant::now();
     let mut blocked_time = Duration::ZERO;
     let mut backoff = Backoff::default();
@@ -547,7 +563,9 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
         }
         budget -= 1;
         steps += 1;
-        faults.on_step(thread, steps, &shared.queues);
+        if FAULTS {
+            faults.on_step(thread, steps, &shared.queues);
+        }
 
         let frame = stack.last_mut().expect("live context has a frame");
         let func = program.function(frame.func);

@@ -8,13 +8,16 @@
 
 use std::time::Duration;
 
-use dswp_ir::{ProgramBuilder, QueueId};
+use dswp::{dswp_loop, DswpOptions};
+use dswp_ir::interp::Interpreter;
+use dswp_ir::{Program, ProgramBuilder, QueueId};
 use dswp_rt::fault::{DelayFault, FaultPlan, PoisonFault, StallFault};
-use dswp_rt::{silence_injected_panics, CancelToken, RtConfig, RtError, Runtime};
+use dswp_rt::{silence_injected_panics, CancelToken, RtConfig, RtError, RtResult, Runtime};
+use dswp_workloads::{paper_suite, Size};
 
 /// Two stages: stage 0 produces 0..n then a -1 sentinel and reads the sum
 /// back through a second queue; stage 1 accumulates.
-fn ping_pong(n: i64) -> dswp_ir::Program {
+fn ping_pong(n: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let q_data = QueueId(0);
     let q_done = QueueId(1);
@@ -72,7 +75,7 @@ fn ping_pong(n: i64) -> dswp_ir::Program {
 }
 
 /// A single stage spinning in an infinite loop (no queue traffic).
-fn spin_forever() -> dswp_ir::Program {
+fn spin_forever() -> Program {
     let mut pb = ProgramBuilder::new();
     let mut f = pb.function("main");
     let e = f.entry_block();
@@ -149,6 +152,7 @@ fn permanent_stall_trips_watchdog() {
     let err = Runtime::new(&p)
         .with_config(
             RtConfig::default()
+                .batch(1)
                 .faults(plan)
                 .watchdog(Duration::from_millis(100)),
         )
@@ -171,6 +175,7 @@ fn deadline_times_out_with_stuck_stage_diagnosis() {
     let err = Runtime::new(&p)
         .with_config(
             RtConfig::default()
+                .batch(1)
                 .faults(plan)
                 .watchdog(Duration::from_secs(30))
                 .deadline(Duration::from_millis(100)),
@@ -258,8 +263,9 @@ fn return_from_entry_is_reported() {
 #[test]
 fn benign_faults_preserve_results_exactly() {
     let p = ping_pong(2_000);
+    // Unbatched, so the stall cadences count individual values.
     let clean = Runtime::new(&p)
-        .with_config(RtConfig::default().record_streams(true))
+        .with_config(RtConfig::default().batch(1).record_streams(true))
         .run()
         .unwrap();
 
@@ -306,13 +312,18 @@ fn benign_faults_preserve_results_exactly() {
     for plan in plans {
         let seed = plan.seed;
         let faulty = Runtime::new(&p)
-            .with_config(RtConfig::default().record_streams(true).faults(plan))
+            .with_config(
+                RtConfig::default()
+                    .batch(1)
+                    .record_streams(true)
+                    .faults(plan),
+            )
             .run()
             .unwrap_or_else(|e| panic!("benign plan (seed {seed}) failed: {e}"));
         assert_eq!(faulty.memory, clean.memory, "seed {seed}: memory");
         assert_eq!(faulty.entry_regs, clean.entry_regs, "seed {seed}: regs");
         assert_eq!(faulty.streams, clean.streams, "seed {seed}: streams");
-        let steps = |r: &dswp_rt::RtResult| r.stages.iter().map(|s| s.steps).collect::<Vec<_>>();
+        let steps = |r: &RtResult| r.stages.iter().map(|s| s.steps).collect::<Vec<_>>();
         assert_eq!(steps(&faulty), steps(&clean), "seed {seed}: steps");
     }
 }
@@ -338,7 +349,7 @@ fn transient_stalls_are_accounted_as_retries() {
             },
         );
     let r = Runtime::new(&p)
-        .with_config(RtConfig::default().faults(plan))
+        .with_config(RtConfig::default().batch(1).faults(plan))
         .run()
         .unwrap();
     assert_eq!(r.memory[0], 1_999_000);
@@ -358,4 +369,41 @@ fn tiny_queue_override_applies_and_completes() {
     assert_eq!(r.memory[0], 124_750);
     assert!(r.queues.iter().all(|q| q.capacity == 1));
     assert!(r.queues[0].max_occupancy <= 1);
+}
+
+/// The worker loop has two instances: without a fault plan the
+/// per-instruction fault hook is compiled out. A plan that injects nothing
+/// takes the hooked instance, and must be indistinguishable from no plan.
+#[test]
+fn empty_fault_plan_matches_no_plan_exactly() {
+    let mut programs = vec![("ping-pong", ping_pong(2_000))];
+    for w in paper_suite(Size::Test) {
+        let baseline = Interpreter::new(&w.program).run().unwrap();
+        let mut p = w.program.clone();
+        let main = p.main();
+        dswp_loop(
+            &mut p,
+            main,
+            w.header,
+            &baseline.profile,
+            &DswpOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: DSWP failed: {e}", w.name));
+        programs.push((w.name, p));
+    }
+    let steps = |r: &RtResult| r.stages.iter().map(|s| s.steps).collect::<Vec<_>>();
+    for (name, p) in &programs {
+        let run = |config: RtConfig| {
+            Runtime::new(p)
+                .with_config(config.record_streams(true))
+                .run()
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let plain = run(RtConfig::default());
+        let hooked = run(RtConfig::default().faults(FaultPlan::none(p.num_threads())));
+        assert_eq!(hooked.memory, plain.memory, "{name}: memory");
+        assert_eq!(hooked.entry_regs, plain.entry_regs, "{name}: entry regs");
+        assert_eq!(hooked.streams, plain.streams, "{name}: streams");
+        assert_eq!(steps(&hooked), steps(&plain), "{name}: steps");
+    }
 }

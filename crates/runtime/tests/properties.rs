@@ -126,11 +126,9 @@ fn random_batch_sizes_never_change_results() {
         let mut config = RtConfig::default()
             .queue_capacity(capacity)
             .record_streams(true);
-        config = if auto {
-            config.batch_auto()
-        } else {
-            config.batch(batch)
-        };
+        if !auto {
+            config = config.batch(batch); // otherwise the default, auto
+        }
         let native = Runtime::new(program)
             .with_config(config)
             .run()

@@ -23,7 +23,8 @@
 //!   --queue-cap N          native queue capacity in values     (default 32)
 //!   --batch N|auto         native communication batch: values per queue
 //!                          publish (`auto` derives it from the capacity;
-//!                          token queues are capped low; default 1)
+//!                          token queues are capped low; default auto,
+//!                          `--batch 1` runs unbatched)
 //!   --replicate N|auto     replicate every DOALL stage N ways (`auto`
 //!                          distributes the available cores across the
 //!                          DOALL stages by the stage cost estimate;
@@ -81,7 +82,7 @@ struct Args {
     comm: u64,
     run: Option<RunMode>,
     queue_cap: usize,
-    batch: Option<BatchPolicy>,
+    batch: BatchPolicy,
     replicate: Replicate,
     steal: ScatterPolicy,
     spin: Option<(u32, u32)>,
@@ -135,7 +136,7 @@ fn parse_args() -> Args {
         comm: 1,
         run: None,
         queue_cap: 32,
-        batch: None,
+        batch: BatchPolicy::default(),
         replicate: Replicate::Off,
         steal: ScatterPolicy::RoundRobin,
         spin: None,
@@ -172,7 +173,7 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage());
             }
             "--batch" => {
-                args.batch = Some(match it.next().as_deref() {
+                args.batch = match it.next().as_deref() {
                     Some("auto") => BatchPolicy::Auto,
                     Some(v) => BatchPolicy::Fixed(
                         v.parse::<usize>()
@@ -181,7 +182,7 @@ fn parse_args() -> Args {
                             .unwrap_or_else(|| usage()),
                     ),
                     None => usage(),
-                });
+                };
             }
             "--replicate" => {
                 args.replicate = match it.next().as_deref() {
@@ -472,27 +473,26 @@ fn main() -> ExitCode {
             }
             eprint!("{}", map.summary(&program));
             let mut cfg = RtConfig::default().queue_capacity(args.queue_cap);
-            if let Some(policy) = args.batch {
-                // Resolve the policy against the configured capacity, then
-                // let the pipeline map shape it per queue (token queues
-                // stay shallow, unused queues drop to 1).
-                let base = policy.chunk(args.queue_cap);
-                let hints = map.batch_hints(base);
-                eprintln!("batch: base {base}, per-queue {hints:?}");
-                cfg = cfg.queue_batches(hints);
-            }
-            if let Some((spins, yields)) = args.spin {
-                cfg = cfg.spin(spins, yields);
-            }
-            if let Some(deadline) = args.deadline {
-                cfg = cfg.deadline(deadline);
-            }
             if let Some(seed) = args.chaos {
                 let plan =
                     FaultPlan::from_seed(seed, program.num_threads(), program.num_queues as usize);
                 eprintln!("chaos: {plan}");
                 silence_injected_panics();
                 cfg = cfg.faults(plan);
+            }
+            // Resolve the policy against the capacity the queues really get
+            // (a chaos plan may shrink it), then let the pipeline map shape
+            // it per queue (token queues stay shallow, unused queues drop
+            // to 1).
+            let base = args.batch.chunk(cfg.effective_queue_capacity());
+            let hints = map.batch_hints(base);
+            eprintln!("batch: base {base}, per-queue {hints:?}");
+            cfg = cfg.queue_batches(hints);
+            if let Some((spins, yields)) = args.spin {
+                cfg = cfg.spin(spins, yields);
+            }
+            if let Some(deadline) = args.deadline {
+                cfg = cfg.deadline(deadline);
             }
             match Runtime::new(&program).with_config(cfg).run() {
                 Ok(r) => {

@@ -136,6 +136,7 @@ fn exceeded_deadline_exits_with_timeout_code() {
     // firing within the pipeline fixture's handful of queue operations.
     // Under a 400 ms deadline (well below the 2 s default watchdog) the
     // run must be diagnosed as a timeout, with the timeout exit code.
+    // `--batch 1` keeps the stall cadence counting individual values.
     let stall_seed = (0..1_000_000u64)
         .find(|&s| {
             let plan = dswp_repro::rt::FaultPlan::from_seed(s, 2, 3);
@@ -153,6 +154,8 @@ fn exceeded_deadline_exits_with_timeout_code() {
         "native",
         "--chaos",
         &stall_seed.to_string(),
+        "--batch",
+        "1",
         "--deadline",
         "400",
     ]);
@@ -181,6 +184,23 @@ fn batch_flag_runs_batched_and_preserves_results() {
             "--batch {batch} stderr: {err}"
         );
     }
+}
+
+#[test]
+fn default_batch_is_resolved_like_batch_auto() {
+    let batch_line = |extra: &[&str]| {
+        let mut argv = vec![fixture("pipeline.ir"), "--run".into(), "native".into()];
+        argv.extend(extra.iter().map(|s| s.to_string()));
+        let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+        let out = dswpc(&argv);
+        assert!(out.status.success(), "{extra:?} stderr: {}", stderr(&out));
+        stderr(&out)
+            .lines()
+            .find(|l| l.starts_with("batch: "))
+            .map(String::from)
+            .unwrap_or_else(|| panic!("{extra:?}: no batch line"))
+    };
+    assert_eq!(batch_line(&[]), batch_line(&["--batch", "auto"]));
 }
 
 #[test]

@@ -42,6 +42,8 @@ fn transform(w: &Workload) -> (Program, Vec<i64>) {
     (p, baseline.memory)
 }
 
+/// Runs both the unbatched runtime (`batch(1)`, every produce its own
+/// publish) and the default configuration (auto batch).
 #[test]
 fn native_runtime_matches_oracle_on_every_workload() {
     for w in paper_suite(Size::Test) {
@@ -50,33 +52,36 @@ fn native_runtime_matches_oracle_on_every_workload() {
         let exec = Executor::new(&transformed)
             .run()
             .unwrap_or_else(|e| panic!("{}: executor failed: {e}", w.name));
-        let native = Runtime::new(&transformed)
-            .with_config(RtConfig::default().record_streams(true))
-            .run()
-            .unwrap_or_else(|e| panic!("{}: native runtime failed: {e}", w.name));
-
-        // Output memory: all three engines agree.
         assert_eq!(
             exec.memory, baseline_memory,
             "{}: executor vs baseline",
             w.name
         );
-        assert_eq!(
-            native.memory, baseline_memory,
-            "{}: native vs baseline",
-            w.name
-        );
 
-        // Return value (entry-frame registers of the main context).
-        assert_eq!(native.entry_regs, exec.entry_regs, "{}: entry regs", w.name);
+        for (leg, cfg) in [
+            ("batch 1", RtConfig::default().batch(1)),
+            ("default", RtConfig::default()),
+        ] {
+            let ctx = format!("{} ({leg})", w.name);
+            let native = Runtime::new(&transformed)
+                .with_config(cfg.record_streams(true))
+                .run()
+                .unwrap_or_else(|e| panic!("{ctx}: native runtime failed: {e}"));
 
-        // Produce/consume value streams, per queue, in production order.
-        let streams = native.streams.as_ref().expect("streams recorded");
-        assert_eq!(streams, &exec.streams, "{}: queue streams", w.name);
+            // Output memory: all three engines agree.
+            assert_eq!(native.memory, baseline_memory, "{ctx}: native vs baseline");
 
-        // Retired instructions per context.
-        let native_steps: Vec<u64> = native.stages.iter().map(|s| s.steps).collect();
-        assert_eq!(native_steps, exec.steps, "{}: per-context steps", w.name);
+            // Return value (entry-frame registers of the main context).
+            assert_eq!(native.entry_regs, exec.entry_regs, "{ctx}: entry regs");
+
+            // Produce/consume value streams, per queue, in production order.
+            let streams = native.streams.as_ref().expect("streams recorded");
+            assert_eq!(streams, &exec.streams, "{ctx}: queue streams");
+
+            // Retired instructions per context.
+            let native_steps: Vec<u64> = native.stages.iter().map(|s| s.steps).collect();
+            assert_eq!(native_steps, exec.steps, "{ctx}: per-context steps");
+        }
     }
 }
 

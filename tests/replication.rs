@@ -315,7 +315,7 @@ fn replication_property_random_doall_loops() {
             &ctx,
             &tp,
             &mem,
-            RtConfig::default().queue_capacity(capacity),
+            RtConfig::default().queue_capacity(capacity).batch(1),
         );
         // Batching composes with replication.
         check_all_engines(
@@ -358,7 +358,7 @@ fn multi_stage_replication_composes() {
             &ctx,
             &tp,
             &mem,
-            RtConfig::default().queue_capacity(capacity),
+            RtConfig::default().queue_capacity(capacity).batch(1),
         );
         check_all_engines(
             &format!("{ctx} batched"),
@@ -461,6 +461,7 @@ fn work_stealing_matches_round_robin() {
             &mem,
             RtConfig::default()
                 .queue_capacity(capacity)
+                .batch(1)
                 .faults(plan.clone()),
             oq,
         );
