@@ -12,15 +12,15 @@
 //!
 //! Queue instructions cannot execute in a single context and yield
 //! [`InterpError::QueueOpInSingleThread`]; transformed programs run on the
-//! multi-context executor in the `dswp-sim` crate, which shares the exact
-//! value semantics via [`eval_unary`], [`eval_binary`] and [`eval_cmp`].
+//! multi-context executor in the `dswp-sim` crate. Both execute every
+//! instruction through the same [`exec::step`](crate::exec::step).
 
 use std::fmt;
 
-use crate::exec::{checked_read, checked_write, new_frame, read_operand};
-use crate::op::{BinOp, CmpOp, Op, UnOp};
+use crate::exec::{checked_read, checked_write, new_frame, step, Env, Fault, Flow};
+use crate::op::{BinOp, CmpOp, UnOp};
 use crate::program::Program;
-use crate::types::{BlockId, FuncId, InstrId};
+use crate::types::{BlockId, FuncId, InstrId, QueueId};
 
 /// Default maximum number of executed instructions before
 /// [`InterpError::StepLimit`] is raised.
@@ -229,7 +229,9 @@ impl<'p> Interpreter<'p> {
     /// invalid indirect calls or step-limit exhaustion.
     pub fn run(&self) -> Result<RunResult, InterpError> {
         let program = self.program;
-        let mut memory = program.initial_memory.clone();
+        let mut env = SingleContext {
+            memory: program.initial_memory.clone(),
+        };
         let mut profile = Profile::zeroed(program);
         let mut steps: u64 = 0;
 
@@ -241,114 +243,26 @@ impl<'p> Interpreter<'p> {
             if steps >= self.step_limit {
                 return Err(InterpError::StepLimit(self.step_limit));
             }
-            let frame = stack.last_mut().expect("non-empty call stack");
-            let func = program.function(frame.func);
-            let instr = func.block(frame.block).instrs()[frame.index];
-            let op = func.op(instr);
             steps += 1;
-
-            match *op {
-                Op::Const { dst, value } => {
-                    frame.regs[dst.index()] = value;
-                    frame.index += 1;
+            match step(program, &mut stack, &mut env).map_err(InterpError::from_fault)? {
+                Flow::Next | Flow::Returned => {}
+                Flow::Jumped | Flow::Called => {
+                    let frame = stack.last().expect("non-empty call stack");
+                    profile.bump(frame.func, frame.block);
                 }
-                Op::Unary { dst, op, src } => {
-                    let v = read_operand(src, &frame.regs);
-                    frame.regs[dst.index()] = eval_unary(op, v);
-                    frame.index += 1;
-                }
-                Op::Binary { dst, op, lhs, rhs } => {
-                    let a = read_operand(lhs, &frame.regs);
-                    let b = read_operand(rhs, &frame.regs);
-                    frame.regs[dst.index()] = eval_binary(op, a, b);
-                    frame.index += 1;
-                }
-                Op::Cmp { dst, op, lhs, rhs } => {
-                    let a = read_operand(lhs, &frame.regs);
-                    let b = read_operand(rhs, &frame.regs);
-                    frame.regs[dst.index()] = eval_cmp(op, a, b);
-                    frame.index += 1;
-                }
-                Op::Load {
-                    dst, addr, offset, ..
-                } => {
-                    let a = frame.regs[addr.index()].wrapping_add(offset);
-                    let v = mem_read(&memory, a)?;
-                    frame.regs[dst.index()] = v;
-                    frame.index += 1;
-                }
-                Op::Store {
-                    src, addr, offset, ..
-                } => {
-                    let v = read_operand(src, &frame.regs);
-                    let a = frame.regs[addr.index()].wrapping_add(offset);
-                    mem_write(&mut memory, a, v)?;
-                    frame.index += 1;
-                }
-                Op::Call { callee } => {
-                    frame.index += 1;
-                    let callee_fn = program.function(callee);
-                    profile.bump(callee, callee_fn.entry());
-                    stack.push(new_frame(callee_fn, callee));
-                }
-                Op::CallInd { target } => {
-                    let v = frame.regs[target.index()];
-                    if v < 0 {
-                        // Sentinel: halt this context (master-loop protocol).
-                        break;
-                    }
-                    let idx = usize::try_from(v)
-                        .ok()
-                        .filter(|&i| i < program.functions().len());
-                    let Some(idx) = idx else {
-                        return Err(InterpError::BadIndirectTarget(v));
-                    };
-                    frame.index += 1;
-                    let callee = FuncId::from_index(idx);
-                    let callee_fn = program.function(callee);
-                    profile.bump(callee, callee_fn.entry());
-                    stack.push(new_frame(callee_fn, callee));
-                }
-                Op::Br { cond, then_, else_ } => {
-                    let t = if frame.regs[cond.index()] != 0 {
-                        then_
-                    } else {
-                        else_
-                    };
-                    frame.block = t;
-                    frame.index = 0;
-                    let fid = frame.func;
-                    profile.bump(fid, t);
-                }
-                Op::Jump { target } => {
-                    frame.block = target;
-                    frame.index = 0;
-                    let fid = frame.func;
-                    profile.bump(fid, target);
-                }
-                Op::Ret => {
-                    if stack.len() == 1 {
-                        return Err(InterpError::ReturnFromEntry);
-                    }
-                    stack.pop();
-                }
-                Op::Halt => break,
-                Op::Produce { .. }
-                | Op::Consume { .. }
-                | Op::ProduceToken { .. }
-                | Op::ConsumeToken { .. }
-                | Op::QueueDepth { .. } => {
+                Flow::Halted => break,
+                Flow::Stalled => {
+                    let frame = stack.last().expect("non-empty call stack");
+                    let func = program.function(frame.func);
+                    let instr = func.block(frame.block).instrs()[frame.index];
                     return Err(InterpError::QueueOpInSingleThread(instr));
-                }
-                Op::Nop => {
-                    frame.index += 1;
                 }
             }
         }
 
         let entry_regs = stack.first().map(|f| f.regs.clone()).unwrap_or_default();
         Ok(RunResult {
-            memory,
+            memory: env.memory,
             entry_regs,
             steps,
             profile,
@@ -356,21 +270,48 @@ impl<'p> Interpreter<'p> {
     }
 }
 
-fn mem_read(memory: &[i64], addr: i64) -> Result<i64, InterpError> {
-    checked_read(memory, addr).ok_or(InterpError::MemoryOutOfBounds {
-        address: addr,
-        size: memory.len(),
-    })
+/// The interpreter's [`Env`]: flat memory and no queues. Every queue
+/// instruction stalls, which [`Interpreter::run`] reports as
+/// [`InterpError::QueueOpInSingleThread`].
+struct SingleContext {
+    memory: Vec<i64>,
 }
 
-fn mem_write(memory: &mut [i64], addr: i64, value: i64) -> Result<(), InterpError> {
-    if checked_write(memory, addr, value) {
-        Ok(())
-    } else {
-        Err(InterpError::MemoryOutOfBounds {
-            address: addr,
-            size: memory.len(),
-        })
+impl Env for SingleContext {
+    fn load(&mut self, addr: i64) -> Option<i64> {
+        checked_read(&self.memory, addr)
+    }
+
+    fn store(&mut self, addr: i64, value: i64) -> bool {
+        checked_write(&mut self.memory, addr, value)
+    }
+
+    fn memory_size(&self) -> usize {
+        self.memory.len()
+    }
+
+    fn produce(&mut self, _: QueueId, _: i64) -> bool {
+        false
+    }
+
+    fn consume(&mut self, _: QueueId) -> Option<i64> {
+        None
+    }
+
+    fn depth(&mut self, _: QueueId) -> Option<i64> {
+        None
+    }
+}
+
+impl InterpError {
+    fn from_fault(fault: Fault) -> Self {
+        match fault {
+            Fault::MemoryOutOfBounds { address, size } => {
+                InterpError::MemoryOutOfBounds { address, size }
+            }
+            Fault::BadIndirectTarget(v) => InterpError::BadIndirectTarget(v),
+            Fault::ReturnFromEntry => InterpError::ReturnFromEntry,
+        }
     }
 }
 

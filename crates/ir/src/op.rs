@@ -304,8 +304,9 @@ pub enum Op {
         /// Target block.
         target: BlockId,
     },
-    /// Return from the current function (or halt the thread if the call
-    /// stack is empty).
+    /// Return from the current function. In a context's entry function,
+    /// where there is no caller, every engine raises a `ReturnFromEntry`
+    /// fault; a thread ends with [`Halt`](Op::Halt) instead.
     Ret,
     /// Halt the executing hardware context.
     Halt,

@@ -23,8 +23,8 @@
 //! flushes on blocking waits, stage end, and a step cadence so batching
 //! never changes observable results or liveness, only timing.
 //!
-//! All three engines share value semantics through `dswp_ir::exec` and
-//! `dswp_ir::interp::{eval_unary, eval_binary, eval_cmp}`, so a
+//! Every engine executes instructions through the one
+//! [`dswp_ir::exec::step`], supplying only its memory and queues, so a
 //! DSWP-transformed program must produce **bit-identical observable
 //! results** (final memory, main entry registers, per-queue value streams)
 //! on all of them. The differential test suite at the workspace root

@@ -1,11 +1,11 @@
 //! The per-stage worker: one OS thread interpreting one hardware context.
 //!
-//! Each DSWP pipeline stage runs this loop on its own `std::thread`. Value
-//! semantics are shared with the other two engines through
-//! `dswp_ir::exec` (frames, operands, call discipline) and
-//! `dswp_ir::interp::{eval_unary, eval_binary, eval_cmp}` (arithmetic), so
-//! the native runtime cannot drift from the interpreter or the functional
-//! executor on anything but scheduling.
+//! Each DSWP pipeline stage runs this loop on its own `std::thread`. Every
+//! instruction executes through [`dswp_ir::exec::step`], the same function
+//! the interpreter, the functional executor and the cycle-level machine
+//! use; the worker supplies only its [`Env`] (atomic memory and batched,
+//! blocking queue endpoints), so the native runtime cannot drift from the
+//! other engines on anything but scheduling.
 //!
 //! Shared program memory is a `Vec<AtomicI64>` accessed with relaxed
 //! loads/stores; cross-stage ordering comes from the queues' release/acquire
@@ -56,9 +56,8 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::{new_frame, read_operand, Frame};
-use dswp_ir::interp::{eval_binary, eval_cmp, eval_unary};
-use dswp_ir::{FuncId, Op, Program};
+use dswp_ir::exec::{new_frame, step, Env, Fault, Flow, Frame};
+use dswp_ir::{Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
 use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
@@ -257,26 +256,6 @@ impl FaultSession {
     }
 }
 
-fn mem_load(shared: &Shared<'_>, addr: i64) -> Option<i64> {
-    usize::try_from(addr)
-        .ok()
-        .and_then(|a| shared.memory.get(a))
-        .map(|cell| cell.load(Ordering::Relaxed))
-}
-
-fn mem_store(shared: &Shared<'_>, addr: i64, value: i64) -> bool {
-    match usize::try_from(addr)
-        .ok()
-        .and_then(|a| shared.memory.get(a))
-    {
-        Some(cell) => {
-            cell.store(value, Ordering::Relaxed);
-            true
-        }
-        None => false,
-    }
-}
-
 /// Tracks the retry/park accounting of one worker across its blocked
 /// queue operations.
 #[derive(Default)]
@@ -416,91 +395,170 @@ fn comm_wait(
     outcome
 }
 
-/// Blocking flush of output buffer `qi`: publishes every buffered value
-/// (possibly across several partial `push_batch`es while the consumer
-/// drains) before returning `Done`.
-fn flush_queue(
-    shared: &Shared<'_>,
+/// A stage's communication and blocking state, and the worker's [`Env`]:
+/// shared memory, plus the stage's batched queue endpoints. A queue
+/// operation that blocks waits inside the `Env` call; one that can never
+/// complete (poison, a park verdict, abort) records why in `stop` and
+/// reports "did not complete".
+struct Stage<'a, 'p> {
+    shared: &'a Shared<'p>,
     thread: usize,
-    qi: usize,
-    comm: &mut Comm,
-    faults: &mut FaultSession,
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-) -> QueueOutcome {
-    let mut buf = std::mem::take(&mut comm.out[qi]);
-    let q = &shared.queues[qi];
-    let info = BlockInfo {
-        queue: qi,
-        kind: BlockKind::Produce,
-    };
-    let stall = faults.stall_budget();
-    let total = buf.len();
-    let mut pos = 0usize;
-    let res = comm_wait(
-        shared,
-        thread,
-        info,
-        &mut comm.out,
-        blocked_time,
-        backoff,
-        stall,
-        || {
-            let n = q.push_batch(&buf[pos..]);
-            if n > 0 {
-                pos += n;
-                shared.monitor.notify_activity();
-            }
-            (pos == total).then_some(0)
-        },
-    );
-    if matches!(res, QueueOutcome::Done(_)) {
-        comm.flushes.add(total);
-    }
-    buf.clear();
-    comm.out[qi] = buf; // keep the allocation
-    res
+    comm: Comm,
+    faults: FaultSession,
+    blocked_time: Duration,
+    backoff: Backoff,
+    /// Why the last queue operation did not complete.
+    stop: Option<QueueOutcome>,
 }
 
-/// Blocking refill of input buffer `qi`: acquires up to the queue's batch
-/// size in one `pop_batch` (never waiting for a full chunk) and returns
-/// the first value; the rest are served from the local buffer.
-fn refill_queue(
-    shared: &Shared<'_>,
-    thread: usize,
-    qi: usize,
-    comm: &mut Comm,
-    faults: &mut FaultSession,
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-) -> QueueOutcome {
-    let mut buf = std::mem::take(&mut comm.inq[qi]);
-    buf.vals.clear();
-    buf.next = 0;
-    let q = &shared.queues[qi];
-    let info = BlockInfo {
-        queue: qi,
-        kind: BlockKind::Consume,
-    };
-    let stall = faults.stall_budget();
-    let max = shared.batches[qi];
-    let vals = &mut buf.vals;
-    let res = comm_wait(
-        shared,
-        thread,
-        info,
-        &mut comm.out,
-        blocked_time,
-        backoff,
-        stall,
-        || (q.pop_batch(vals, max) > 0).then(|| vals[0]),
-    );
-    if matches!(res, QueueOutcome::Done(_)) {
-        buf.next = 1;
-        comm.refills.add(buf.vals.len());
+impl Stage<'_, '_> {
+    /// Blocking flush of output buffer `qi`: publishes every buffered value
+    /// (possibly across several partial `push_batch`es while the consumer
+    /// drains) before returning `Done`.
+    fn flush_queue(&mut self, qi: usize) -> QueueOutcome {
+        let shared = self.shared;
+        let comm = &mut self.comm;
+        let mut buf = std::mem::take(&mut comm.out[qi]);
+        let q = &shared.queues[qi];
+        let info = BlockInfo {
+            queue: qi,
+            kind: BlockKind::Produce,
+        };
+        let stall = self.faults.stall_budget();
+        let total = buf.len();
+        let mut pos = 0usize;
+        let res = comm_wait(
+            shared,
+            self.thread,
+            info,
+            &mut comm.out,
+            &mut self.blocked_time,
+            &mut self.backoff,
+            stall,
+            || {
+                let n = q.push_batch(&buf[pos..]);
+                if n > 0 {
+                    pos += n;
+                    shared.monitor.notify_activity();
+                }
+                (pos == total).then_some(0)
+            },
+        );
+        if matches!(res, QueueOutcome::Done(_)) {
+            comm.flushes.add(total);
+        }
+        buf.clear();
+        comm.out[qi] = buf; // keep the allocation
+        res
     }
-    comm.inq[qi] = buf; // keep the allocation
-    res
+
+    /// Blocking refill of input buffer `qi`: acquires up to the queue's
+    /// batch size in one `pop_batch` (never waiting for a full chunk) and
+    /// returns the first value; the rest are served from the local buffer.
+    fn refill_queue(&mut self, qi: usize) -> QueueOutcome {
+        let shared = self.shared;
+        let comm = &mut self.comm;
+        let mut buf = std::mem::take(&mut comm.inq[qi]);
+        buf.vals.clear();
+        buf.next = 0;
+        let q = &shared.queues[qi];
+        let info = BlockInfo {
+            queue: qi,
+            kind: BlockKind::Consume,
+        };
+        let stall = self.faults.stall_budget();
+        let max = shared.batches[qi];
+        let vals = &mut buf.vals;
+        let res = comm_wait(
+            shared,
+            self.thread,
+            info,
+            &mut comm.out,
+            &mut self.blocked_time,
+            &mut self.backoff,
+            stall,
+            || (q.pop_batch(vals, max) > 0).then(|| vals[0]),
+        );
+        if matches!(res, QueueOutcome::Done(_)) {
+            buf.next = 1;
+            comm.refills.add(buf.vals.len());
+        }
+        comm.inq[qi] = buf; // keep the allocation
+        res
+    }
+
+    /// The value of a completed queue operation, or `None` with the reason
+    /// it did not complete kept in `stop`.
+    fn done(&mut self, outcome: QueueOutcome) -> Option<i64> {
+        match outcome {
+            QueueOutcome::Done(v) => Some(v),
+            other => {
+                self.stop = Some(other);
+                None
+            }
+        }
+    }
+}
+
+impl Env for Stage<'_, '_> {
+    #[inline]
+    fn load(&mut self, addr: i64) -> Option<i64> {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.shared.memory.get(a))
+            .map(|cell| cell.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn store(&mut self, addr: i64, value: i64) -> bool {
+        match usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.shared.memory.get(a))
+        {
+            Some(cell) => {
+                cell.store(value, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn memory_size(&self) -> usize {
+        self.shared.memory.len()
+    }
+
+    #[inline]
+    fn produce(&mut self, queue: QueueId, value: i64) -> bool {
+        let qi = queue.index();
+        self.comm.out[qi].push(value);
+        if self.comm.out[qi].len() < self.shared.batches[qi] {
+            return true;
+        }
+        let outcome = self.flush_queue(qi);
+        self.done(outcome).is_some()
+    }
+
+    #[inline]
+    fn consume(&mut self, queue: QueueId) -> Option<i64> {
+        let qi = queue.index();
+        if let Some(v) = self.comm.inq[qi].pop() {
+            return Some(v);
+        }
+        let outcome = self.refill_queue(qi);
+        self.done(outcome)
+    }
+
+    fn depth(&mut self, queue: QueueId) -> Option<i64> {
+        // Occupancy as visible to this context: the ring itself, plus
+        // anything this worker has produced but not yet flushed, plus
+        // refilled values it has not yet served. The snapshot is racy by
+        // design — the probe feeds a routing heuristic (work-stealing
+        // scatter), never a correctness decision.
+        let qi = queue.index();
+        let inq = &self.comm.inq[qi];
+        let local = self.comm.out[qi].len() + (inq.vals.len() - inq.next);
+        Some((self.shared.queues[qi].len() + local) as i64)
+    }
 }
 
 /// Runs hardware context `thread` to completion. Errors are reported to the
@@ -518,10 +576,15 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
 /// hook runs in both instances (it is per queue operation, not per step).
 fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     let started = Instant::now();
-    let mut blocked_time = Duration::ZERO;
-    let mut backoff = Backoff::default();
-    let mut faults = FaultSession::new(shared.faults, thread);
-    let mut comm = Comm::new(shared.queues.len());
+    let mut stage = Stage {
+        shared,
+        thread,
+        comm: Comm::new(shared.queues.len()),
+        faults: FaultSession::new(shared.faults, thread),
+        blocked_time: Duration::ZERO,
+        backoff: Backoff::default(),
+        stop: None,
+    };
     let program = shared.program;
     let entry = program.thread_entries()[thread];
     let mut stack: Vec<Frame> = vec![new_frame(program.function(entry), entry)];
@@ -533,7 +596,7 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
         shared.monitor.fail(err);
         WorkerEnd::Aborted
     };
-    // Converts a blocked-op outcome shared by all four queue instructions.
+    // Converts the outcome of a queue operation that did not complete.
     let queue_stop = |end: QueueOutcome| match end {
         QueueOutcome::Poisoned(queue) => fail(RtError::QueuePoisoned {
             queue,
@@ -559,220 +622,28 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
             }
             // Cadence flush: don't let buffered values linger while this
             // stage computes without touching its queues.
-            side_flush(shared, &mut comm.out);
+            side_flush(shared, &mut stage.comm.out);
         }
         budget -= 1;
         steps += 1;
         if FAULTS {
-            faults.on_step(thread, steps, &shared.queues);
+            stage.faults.on_step(thread, steps, &shared.queues);
         }
 
-        let frame = stack.last_mut().expect("live context has a frame");
-        let func = program.function(frame.func);
-        let instr = func.block(frame.block).instrs()[frame.index];
-
-        match *func.op(instr) {
-            Op::Const { dst, value } => {
-                frame.regs[dst.index()] = value;
-                frame.index += 1;
-            }
-            Op::Unary { dst, op, src } => {
-                let v = read_operand(src, &frame.regs);
-                frame.regs[dst.index()] = eval_unary(op, v);
-                frame.index += 1;
-            }
-            Op::Binary { dst, op, lhs, rhs } => {
-                let (a, b) = (
-                    read_operand(lhs, &frame.regs),
-                    read_operand(rhs, &frame.regs),
-                );
-                frame.regs[dst.index()] = eval_binary(op, a, b);
-                frame.index += 1;
-            }
-            Op::Cmp { dst, op, lhs, rhs } => {
-                let (a, b) = (
-                    read_operand(lhs, &frame.regs),
-                    read_operand(rhs, &frame.regs),
-                );
-                frame.regs[dst.index()] = eval_cmp(op, a, b);
-                frame.index += 1;
-            }
-            Op::Load {
-                dst, addr, offset, ..
-            } => {
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                let Some(v) = mem_load(shared, a) else {
-                    break 'run fail(RtError::MemoryOutOfBounds {
-                        address: a,
-                        size: shared.memory.len(),
-                    });
-                };
-                frame.regs[dst.index()] = v;
-                frame.index += 1;
-            }
-            Op::Store {
-                src, addr, offset, ..
-            } => {
-                let v = read_operand(src, &frame.regs);
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                if !mem_store(shared, a, v) {
-                    break 'run fail(RtError::MemoryOutOfBounds {
-                        address: a,
-                        size: shared.memory.len(),
-                    });
-                }
-                frame.index += 1;
-            }
-            Op::Call { callee } => {
-                frame.index += 1;
-                stack.push(new_frame(program.function(callee), callee));
-            }
-            Op::CallInd { target } => {
-                let v = frame.regs[target.index()];
-                if v < 0 {
-                    // Terminate sentinel (master-loop protocol): not a
-                    // counted step, matching the functional executor.
-                    steps -= 1;
-                    break 'run WorkerEnd::Terminated;
-                }
-                let Some(idx) = usize::try_from(v)
-                    .ok()
-                    .filter(|&i| i < program.functions().len())
-                else {
-                    break 'run fail(RtError::BadIndirectTarget(v));
-                };
-                frame.index += 1;
-                let callee = FuncId::from_index(idx);
-                stack.push(new_frame(program.function(callee), callee));
-            }
-            Op::Br { cond, then_, else_ } => {
-                frame.block = if frame.regs[cond.index()] != 0 {
-                    then_
-                } else {
-                    else_
-                };
-                frame.index = 0;
-            }
-            Op::Jump { target } => {
-                frame.block = target;
-                frame.index = 0;
-            }
-            Op::Ret => {
-                if stack.len() == 1 {
-                    break 'run fail(RtError::ReturnFromEntry(thread));
-                }
-                stack.pop();
-            }
-            Op::Halt => {
-                steps -= 1; // halt is not a counted step (executor parity)
+        match step(program, &mut stack, &mut stage) {
+            Ok(Flow::Next | Flow::Jumped | Flow::Called | Flow::Returned) => {}
+            Ok(Flow::Halted) => {
+                // Neither `halt` nor the terminate sentinel is a counted
+                // step (executor parity).
+                steps -= 1;
                 break 'run WorkerEnd::Terminated;
             }
-            Op::Produce { queue, src } => {
-                let v = read_operand(src, &frame.regs);
-                let qi = queue.index();
-                comm.out[qi].push(v);
-                if comm.out[qi].len() >= shared.batches[qi] {
-                    match flush_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1; // the op never completed
-                            break 'run queue_stop(other);
-                        }
-                    }
-                } else {
-                    frame.index += 1;
-                }
+            Ok(Flow::Stalled) => {
+                steps -= 1; // the op never completed
+                let stop = stage.stop.take().expect("a stalled queue op records why");
+                break 'run queue_stop(stop);
             }
-            Op::Consume { queue, dst } => {
-                let qi = queue.index();
-                let v = match comm.inq[qi].pop() {
-                    Some(v) => v,
-                    None => match refill_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(v) => v,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
-                    },
-                };
-                frame.regs[dst.index()] = v;
-                frame.index += 1;
-            }
-            Op::ProduceToken { queue } => {
-                let qi = queue.index();
-                comm.out[qi].push(0);
-                if comm.out[qi].len() >= shared.batches[qi] {
-                    match flush_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
-                    }
-                } else {
-                    frame.index += 1;
-                }
-            }
-            Op::ConsumeToken { queue } => {
-                let qi = queue.index();
-                match comm.inq[qi].pop() {
-                    Some(_) => frame.index += 1,
-                    None => match refill_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
-                    },
-                }
-            }
-            Op::QueueDepth { dst, queue } => {
-                // Occupancy as visible to this context: the ring itself,
-                // plus anything this worker has produced but not yet
-                // flushed, plus refilled values it has not yet served.
-                // The snapshot is racy by design — the probe feeds a
-                // routing heuristic (work-stealing scatter), never a
-                // correctness decision.
-                let qi = queue.index();
-                let local = comm.out[qi].len() + (comm.inq[qi].vals.len() - comm.inq[qi].next);
-                frame.regs[dst.index()] = (shared.queues[qi].len() + local) as i64;
-                frame.index += 1;
-            }
-            Op::Nop => {
-                frame.index += 1;
-            }
+            Err(fault) => break 'run fail(RtError::from_fault(fault, thread)),
         }
     };
 
@@ -780,18 +651,10 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
     // whatever it buffered since the last flush.
     if end == WorkerEnd::Terminated {
         for qi in 0..shared.queues.len() {
-            if comm.out[qi].is_empty() {
+            if stage.comm.out[qi].is_empty() {
                 continue;
             }
-            match flush_queue(
-                shared,
-                thread,
-                qi,
-                &mut comm,
-                &mut faults,
-                &mut blocked_time,
-                &mut backoff,
-            ) {
+            match stage.flush_queue(qi) {
                 QueueOutcome::Done(_) => {}
                 other => {
                     end = queue_stop(other);
@@ -812,10 +675,22 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
         steps,
         entry_regs: stack.first().map(|f| f.regs.clone()).unwrap_or_default(),
         wall: started.elapsed(),
-        blocked: blocked_time,
-        retries: backoff.retries,
-        parks: backoff.parks,
-        flushes: comm.flushes,
-        refills: comm.refills,
+        blocked: stage.blocked_time,
+        retries: stage.backoff.retries,
+        parks: stage.backoff.parks,
+        flushes: stage.comm.flushes,
+        refills: stage.comm.refills,
+    }
+}
+
+impl RtError {
+    fn from_fault(fault: Fault, thread: usize) -> Self {
+        match fault {
+            Fault::MemoryOutOfBounds { address, size } => {
+                RtError::MemoryOutOfBounds { address, size }
+            }
+            Fault::BadIndirectTarget(v) => RtError::BadIndirectTarget(v),
+            Fault::ReturnFromEntry => RtError::ReturnFromEntry(thread),
+        }
     }
 }
