@@ -12,10 +12,9 @@
 //! * a **scatter** function takes over the replicated stage's original
 //!   hardware context, consuming the stage's upstream queues in iteration
 //!   order and forwarding each iteration's values to a per-replica
-//!   *instance* of every queue — round-robin by default, or to the
-//!   least-loaded replica under [`ScatterPolicy::WorkStealing`] (queue-depth
-//!   feedback through the non-blocking `DEPTH` probe, with the bounded
-//!   instance queues themselves providing per-replica backlog limits);
+//!   *instance* of every queue, round-robin (iteration `j` goes to replica
+//!   `j mod N`, with the bounded instance queues providing per-replica
+//!   backlog limits);
 //! * `N` **replica** functions (clones of the stage's auxiliary loop
 //!   function with queue ids remapped to their instance) run on `N` fresh
 //!   contexts;
@@ -23,8 +22,7 @@
 //!   stage's downstream queues, driven by an iteration-tag control queue
 //!   fed by the scatter (`r + 1` = the iteration was dispatched to replica
 //!   `r`, `0` = the loop exited), so downstream stages observe *exactly*
-//!   the value streams of the unreplicated pipeline no matter how
-//!   iterations were routed.
+//!   the value streams of the unreplicated pipeline.
 //!
 //! Because the scatter runs every iteration sequentially it can also carry
 //! values across the back edge on behalf of the replicas: a register that
@@ -75,23 +73,6 @@ pub enum Replicate {
     },
 }
 
-/// How a replicated stage's scatter routes iterations to replicas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScatterPolicy {
-    /// Iteration `j` goes to replica `j mod n` (the default): fully
-    /// deterministic, ideal when every iteration costs about the same.
-    #[default]
-    RoundRobin,
-    /// Each iteration goes to the replica whose pending-input backlog is
-    /// currently smallest (queue-depth feedback via
-    /// [`Op::QueueDepth`]; ties break to the
-    /// lowest replica index). The iteration-tagged gather restores output
-    /// order, so results stay bit-identical to round-robin — only the
-    /// iteration→replica assignment changes. Wins when per-iteration cost
-    /// is skewed.
-    WorkStealing,
-}
-
 /// What replication did, reported in
 /// [`DswpReport`](crate::pipeline::DswpReport).
 #[derive(Clone, Debug)]
@@ -100,8 +81,6 @@ pub struct ReplicationInfo {
     pub stage: usize,
     /// Number of replicas.
     pub replicas: usize,
-    /// How the scatter routes iterations to replicas.
-    pub policy: ScatterPolicy,
     /// The scatter function (runs on the stage's original context).
     pub scatter: FuncId,
     /// The gather function, if the stage produces downstream values.
@@ -407,9 +386,6 @@ fn add_master(program: &mut Program, name: String, mq: QueueId) -> FuncId {
 
 /// Replicates pipeline `stage` (whose auxiliary loop function is
 /// `aux_fid`) `replicas` ways, in place, after [`apply_dswp`] has run.
-/// `policy` selects how the scatter routes iterations (round-robin or
-/// work-stealing); routing never changes observable results, only which
-/// replica runs which iteration.
 ///
 /// Legality must have been established with [`replicable_stages`] first;
 /// this function additionally verifies the *structural* preconditions on
@@ -430,7 +406,6 @@ pub fn replicate_stage(
     aux_fid: FuncId,
     stage: usize,
     replicas: usize,
-    policy: ScatterPolicy,
 ) -> Option<ReplicationInfo> {
     let n = replicas;
     if n < 2 {
@@ -576,17 +551,12 @@ pub fn replicate_stage(
     }
 
     // ---- scatter ----
-    let steal = policy == ScatterPolicy::WorkStealing;
     let scatter_fid = {
         let mut sf = Function::new(format!("dswp.scatter{stage}"));
         let c = sf.new_reg();
         let ctr = sf.new_reg();
         let t = sf.new_reg();
         let v = sf.new_reg();
-        // Work-stealing scratch: the running minimum backlog and the
-        // probed depth of the replica under consideration.
-        let best = sf.new_reg();
-        let d = sf.new_reg();
         let hold: Vec<Option<Reg>> = shape
             .in_data
             .iter()
@@ -598,18 +568,6 @@ pub fn replicate_stage(
         let b_exit = sf.add_block("exit");
         let disp: Vec<BlockId> = (0..n).map(|r| sf.add_block(format!("disp{r}"))).collect();
         let fwd: Vec<BlockId> = (0..n).map(|r| sf.add_block(format!("fwd{r}"))).collect();
-        // Work-stealing pick chain: `pick` seeds the argmin scan with
-        // replica 0, then `chk[r-1]`/`upd[r-1]` fold in replica r. Strict
-        // less-than keeps ties on the lowest index, so the executor (whose
-        // depths are deterministic) routes reproducibly.
-        let (b_pick, chk, upd) = if steal {
-            let pick = sf.add_block("pick");
-            let chk: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("chk{r}"))).collect();
-            let upd: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("upd{r}"))).collect();
-            (Some(pick), chk, upd)
-        } else {
-            (None, Vec::new(), Vec::new())
-        };
         sf.set_entry(b_entry);
         for (k, sq) in scatter_init.iter().enumerate() {
             if let Some(q) = sq {
@@ -651,68 +609,9 @@ pub fn replicate_stage(
             Op::Br {
                 cond: t,
                 then_: b_exit,
-                else_: b_pick.unwrap_or(disp[0]),
+                else_: disp[0],
             },
         );
-        if let Some(b_pick) = b_pick {
-            sf.append_op(
-                b_pick,
-                Op::QueueDepth {
-                    dst: best,
-                    queue: flag_inst[0],
-                },
-            );
-            sf.append_op(b_pick, Op::Const { dst: ctr, value: 0 });
-            sf.append_op(
-                b_pick,
-                Op::Jump {
-                    target: *chk.first().unwrap_or(&disp[0]),
-                },
-            );
-            for r in 1..n {
-                let next = *chk.get(r).unwrap_or(&disp[0]);
-                sf.append_op(
-                    chk[r - 1],
-                    Op::QueueDepth {
-                        dst: d,
-                        queue: flag_inst[r],
-                    },
-                );
-                sf.append_op(
-                    chk[r - 1],
-                    Op::Cmp {
-                        dst: t,
-                        op: CmpOp::Lt,
-                        lhs: d.into(),
-                        rhs: best.into(),
-                    },
-                );
-                sf.append_op(
-                    chk[r - 1],
-                    Op::Br {
-                        cond: t,
-                        then_: upd[r - 1],
-                        else_: next,
-                    },
-                );
-                sf.append_op(
-                    upd[r - 1],
-                    Op::Unary {
-                        dst: best,
-                        op: dswp_ir::UnOp::Mov,
-                        src: d.into(),
-                    },
-                );
-                sf.append_op(
-                    upd[r - 1],
-                    Op::Const {
-                        dst: ctr,
-                        value: r as i64,
-                    },
-                );
-                sf.append_op(upd[r - 1], Op::Jump { target: next });
-            }
-        }
         for r in 0..n {
             if r + 1 < n {
                 sf.append_op(
@@ -795,8 +694,7 @@ pub fn replicate_stage(
             }
             if let Some(ctl) = ctl {
                 // Tag the control entry with the chosen replica (`r + 1`;
-                // `0` is reserved for exit) so the gather can follow any
-                // routing policy without re-deriving it.
+                // `0` is reserved for exit).
                 sf.append_op(
                     fwd[r],
                     Op::Produce {
@@ -807,26 +705,24 @@ pub fn replicate_stage(
             }
             sf.append_op(fwd[r], Op::Jump { target: b_step });
         }
-        if !steal {
-            sf.append_op(
-                b_step,
-                Op::Binary {
-                    dst: ctr,
-                    op: BinOp::Add,
-                    lhs: ctr.into(),
-                    rhs: 1.into(),
-                },
-            );
-            sf.append_op(
-                b_step,
-                Op::Binary {
-                    dst: ctr,
-                    op: BinOp::Rem,
-                    lhs: ctr.into(),
-                    rhs: (n as i64).into(),
-                },
-            );
-        }
+        sf.append_op(
+            b_step,
+            Op::Binary {
+                dst: ctr,
+                op: BinOp::Add,
+                lhs: ctr.into(),
+                rhs: 1.into(),
+            },
+        );
+        sf.append_op(
+            b_step,
+            Op::Binary {
+                dst: ctr,
+                op: BinOp::Rem,
+                lhs: ctr.into(),
+                rhs: (n as i64).into(),
+            },
+        );
         sf.append_op(b_step, Op::Jump { target: b_head });
         for &q in &flag_inst {
             sf.append_op(
@@ -891,8 +787,7 @@ pub fn replicate_stage(
             },
         );
         // The control tag carries the scatter's routing decision: replica
-        // index plus one. Decoding it here keeps the gather agnostic to
-        // whether the scatter ran round-robin or work-stealing.
+        // index plus one.
         gf.append_op(
             b_tag,
             Op::Binary {
@@ -1063,7 +958,6 @@ pub fn replicate_stage(
     Some(ReplicationInfo {
         stage,
         replicas: n,
-        policy,
         scatter: scatter_fid,
         gather: gather_fid,
         replica_functions: replica_fids,

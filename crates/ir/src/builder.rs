@@ -281,11 +281,6 @@ impl FunctionBuilder<'_> {
         self.emit(Op::ConsumeToken { queue })
     }
 
-    /// `dst = DEPTH [queue]` — non-blocking queue-occupancy probe.
-    pub fn queue_depth(&mut self, dst: Reg, queue: QueueId) -> InstrId {
-        self.emit(Op::QueueDepth { queue, dst })
-    }
-
     /// Nop.
     pub fn nop(&mut self) -> InstrId {
         self.emit(Op::Nop)

@@ -5,8 +5,8 @@
 //! (`dswp-sim`), and the native multi-threaded runtime (`dswp-rt`) all
 //! execute the IR through [`step`], the one place that gives each [`Op`]
 //! its meaning. An engine supplies only what differs between them through
-//! an [`Env`]: memory access and the queue semantics of `produce`,
-//! `consume` and `DEPTH` (unbounded, timed, bounded and blocking, or absent
+//! an [`Env`]: memory access and the queue semantics of `produce` and
+//! `consume` (unbounded, timed, bounded and blocking, or absent
 //! altogether). What a step did comes back as a [`Flow`], so each engine
 //! keeps its own bookkeeping (profiles, step counts, redirect bubbles,
 //! scoreboards), and a trapped instruction comes back as a [`Fault`],
@@ -96,9 +96,6 @@ pub trait Env {
     fn produce(&mut self, queue: QueueId, value: i64) -> bool;
     /// Receives from `queue`; `None` when nothing could be received.
     fn consume(&mut self, queue: QueueId) -> Option<i64>;
-    /// The occupancy of `queue` as seen by the executing context; `None`
-    /// when the probe cannot run.
-    fn depth(&mut self, queue: QueueId) -> Option<i64>;
 }
 
 /// How control moved in one [`step`].
@@ -175,10 +172,6 @@ pub fn step<E: Env>(program: &Program, stack: &mut Vec<Frame>, env: &mut E) -> R
             regs[dst.index()] = v;
         }
         Op::Consume { queue, dst } => match env.consume(queue) {
-            Some(v) => regs[dst.index()] = v,
-            None => return Ok(Flow::Stalled),
-        },
-        Op::QueueDepth { dst, queue } => match env.depth(queue) {
             Some(v) => regs[dst.index()] = v,
             None => return Ok(Flow::Stalled),
         },
@@ -324,9 +317,6 @@ mod tests {
         fn consume(&mut self, _: QueueId) -> Option<i64> {
             self.value.take()
         }
-        fn depth(&mut self, _: QueueId) -> Option<i64> {
-            Some(self.value.is_some() as i64)
-        }
     }
 
     #[test]
@@ -335,13 +325,12 @@ mod tests {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main");
         let e = f.entry_block();
-        let (r, d) = (f.reg(), f.reg());
+        let r = f.reg();
         f.switch_to(e);
         f.produce(q, 5);
         f.produce_token(q);
         f.consume(r, q);
         f.consume_token(q);
-        f.queue_depth(d, q);
         f.halt();
         let main = f.finish();
         let mut p = pb.finish(main, 0);
@@ -365,10 +354,8 @@ mod tests {
         assert_eq!(run(&mut env), Ok((Flow::Stalled, 3)));
         env.value = Some(9);
         assert_eq!(run(&mut env), Ok((Flow::Next, 4)));
-        env.value = Some(3);
-        assert_eq!(run(&mut env), Ok((Flow::Next, 5)));
-        assert_eq!(run(&mut env), Ok((Flow::Halted, 5)));
-        // `r` received the token's 0; `d` saw the one buffered value.
-        assert_eq!(stack[0].regs, vec![0, 1]);
+        assert_eq!(run(&mut env), Ok((Flow::Halted, 4)));
+        // `r` received the token's 0.
+        assert_eq!(stack[0].regs, vec![0]);
     }
 }

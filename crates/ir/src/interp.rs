@@ -297,10 +297,6 @@ impl Env for SingleContext {
     fn consume(&mut self, _: QueueId) -> Option<i64> {
         None
     }
-
-    fn depth(&mut self, _: QueueId) -> Option<i64> {
-        None
-    }
 }
 
 impl InterpError {

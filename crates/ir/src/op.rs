@@ -335,22 +335,6 @@ pub enum Op {
         /// Source queue.
         queue: QueueId,
     },
-    /// `dst = ` current occupancy of queue `queue` (never blocks).
-    ///
-    /// A load-feedback probe for scheduling decisions, not a queue access:
-    /// it reads how many produced values have not yet been consumed, as
-    /// visible to the executing context. The work-stealing scatter of a
-    /// replicated stage uses it to route each iteration to the least-loaded
-    /// replica. The value is advisory — on the native runtime it is a racy
-    /// snapshot — so correctness must never depend on it, only routing.
-    /// Deliberately *not* an [`is_queue_op`](Op::is_queue_op) instruction:
-    /// it imposes no ordering and neither produces nor consumes.
-    QueueDepth {
-        /// Destination register (receives the occupancy).
-        dst: Reg,
-        /// The probed queue.
-        queue: QueueId,
-    },
     /// No operation.
     Nop,
 }
@@ -364,8 +348,7 @@ impl Op {
             | Op::Binary { dst, .. }
             | Op::Cmp { dst, .. }
             | Op::Load { dst, .. }
-            | Op::Consume { dst, .. }
-            | Op::QueueDepth { dst, .. } => Some(dst),
+            | Op::Consume { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -400,7 +383,6 @@ impl Op {
             | Op::Consume { .. }
             | Op::ProduceToken { .. }
             | Op::ConsumeToken { .. }
-            | Op::QueueDepth { .. }
             | Op::Nop => {}
         }
         out
@@ -438,7 +420,7 @@ impl Op {
             Op::Br { cond, .. } => *cond = f(*cond),
             Op::CallInd { target } => *target = f(*target),
             Op::Produce { src, .. } => map_op(src, &mut f),
-            Op::Consume { dst, .. } | Op::QueueDepth { dst, .. } => *dst = f(*dst),
+            Op::Consume { dst, .. } => *dst = f(*dst),
             Op::Call { .. }
             | Op::Jump { .. }
             | Op::Ret
@@ -524,7 +506,7 @@ impl Op {
     /// The latency class of this instruction.
     pub fn latency_class(&self) -> LatencyClass {
         match self {
-            Op::Const { .. } | Op::Unary { .. } | Op::QueueDepth { .. } => LatencyClass::IntAlu,
+            Op::Const { .. } | Op::Unary { .. } => LatencyClass::IntAlu,
             Op::Binary { op, .. } => match op {
                 BinOp::Mul => LatencyClass::IntMul,
                 BinOp::Div | BinOp::Rem => LatencyClass::IntDiv,
@@ -552,15 +534,13 @@ impl Op {
         }
     }
 
-    /// The queue referenced by this instruction, if any (queue operations
-    /// plus the non-blocking [`QueueDepth`](Op::QueueDepth) probe).
+    /// The queue referenced by this instruction, if any.
     pub fn queue(&self) -> Option<QueueId> {
         match *self {
             Op::Produce { queue, .. }
             | Op::Consume { queue, .. }
             | Op::ProduceToken { queue }
-            | Op::ConsumeToken { queue }
-            | Op::QueueDepth { queue, .. } => Some(queue),
+            | Op::ConsumeToken { queue } => Some(queue),
             _ => None,
         }
     }

@@ -112,7 +112,6 @@ impl fmt::Display for Op {
             Op::Consume { queue, dst } => write!(f, "CONSUME {dst} = [{queue}]"),
             Op::ProduceToken { queue } => write!(f, "PRODUCE.token [{queue}]"),
             Op::ConsumeToken { queue } => write!(f, "CONSUME.token [{queue}]"),
-            Op::QueueDepth { dst, queue } => write!(f, "{dst} = DEPTH [{queue}]"),
             Op::Nop => f.write_str("nop"),
         }
     }

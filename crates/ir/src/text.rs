@@ -406,12 +406,6 @@ impl<'a> Parser<'a> {
                 mem: info,
             });
         }
-        if let Some(q) = rhs.strip_prefix("DEPTH ") {
-            return Ok(Op::QueueDepth {
-                dst,
-                queue: self.queue(ln, q.trim())?,
-            });
-        }
         if rhs.starts_with('(') && rhs.ends_with(')') {
             // Cmp: `(a <op> b)`.
             let inner = &rhs[1..rhs.len() - 1];

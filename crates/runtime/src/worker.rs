@@ -547,18 +547,6 @@ impl Env for Stage<'_, '_> {
         let outcome = self.refill_queue(qi);
         self.done(outcome)
     }
-
-    fn depth(&mut self, queue: QueueId) -> Option<i64> {
-        // Occupancy as visible to this context: the ring itself, plus
-        // anything this worker has produced but not yet flushed, plus
-        // refilled values it has not yet served. The snapshot is racy by
-        // design — the probe feeds a routing heuristic (work-stealing
-        // scatter), never a correctness decision.
-        let qi = queue.index();
-        let inq = &self.comm.inq[qi];
-        let local = self.comm.out[qi].len() + (inq.vals.len() - inq.next);
-        Some((self.shared.queues[qi].len() + local) as i64)
-    }
 }
 
 /// Runs hardware context `thread` to completion. Errors are reported to the

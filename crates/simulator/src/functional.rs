@@ -255,10 +255,6 @@ impl Env for Queues {
     fn consume(&mut self, queue: QueueId) -> Option<i64> {
         self.queues[queue.index()].pop_front()
     }
-
-    fn depth(&mut self, queue: QueueId) -> Option<i64> {
-        Some(self.queues[queue.index()].len() as i64)
-    }
 }
 
 #[cfg(test)]

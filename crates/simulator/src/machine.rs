@@ -410,17 +410,6 @@ impl Env for Uncore {
     fn consume(&mut self, queue: QueueId) -> Option<i64> {
         self.queues[queue.index()].pop_front().map(|(v, _)| v)
     }
-
-    fn depth(&mut self, queue: QueueId) -> Option<i64> {
-        // Occupancy as visible to this core: entries whose communication
-        // latency has elapsed by this cycle.
-        let cycle = self.cycle;
-        let visible = self.queues[queue.index()]
-            .iter()
-            .filter(|&&(_, vis)| vis <= cycle)
-            .count();
-        Some(visible as i64)
-    }
 }
 
 enum CycleOutcome {

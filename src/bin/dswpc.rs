@@ -29,10 +29,6 @@
 //!                          distributes the available cores across the
 //!                          DOALL stages by the stage cost estimate;
 //!                          requires `--dswp --alias precise`)
-//!   --steal on|off         scatter routing for replicated stages: `on`
-//!                          sends each iteration to the least-loaded
-//!                          replica (queue-depth feedback), `off` keeps
-//!                          deterministic round-robin (default off)
 //!   --spin SPINS,YIELDS    native blocked-queue backoff: busy-spin then
 //!                          yield iterations before parking (default 64,32)
 //!   --chaos SEED           run `--run native` under the seeded fault plan
@@ -54,7 +50,7 @@ use dswp_repro::analysis::{AliasMode, DagScc};
 use dswp_repro::dswp::PipelineMap;
 use dswp_repro::dswp::{
     analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, unroll_loop,
-    DswpOptions, Replicate, ScatterPolicy,
+    DswpOptions, Replicate,
 };
 use dswp_repro::ir::interp::Interpreter;
 use dswp_repro::ir::verify::verify_program;
@@ -84,7 +80,6 @@ struct Args {
     queue_cap: usize,
     batch: BatchPolicy,
     replicate: Replicate,
-    steal: ScatterPolicy,
     spin: Option<(u32, u32)>,
     chaos: Option<u64>,
     deadline: Option<std::time::Duration>,
@@ -113,7 +108,7 @@ const USAGE: &str = "usage: dswpc <file.ir> [--dswp] [--loop bbN] [--unroll K] \
      [--alias conservative|region|precise] [--threads N] [--stats] \
      [--dot FILE] [--emit FILE] [--sim [full|half]] [--comm N] \
      [--run [functional|native]] [--queue-cap N] [--batch N|auto] \
-     [--replicate N|auto] [--steal on|off] [--spin SPINS,YIELDS] \
+     [--replicate N|auto] [--spin SPINS,YIELDS] \
      [--chaos SEED] [--deadline MS]";
 
 fn usage() -> ! {
@@ -138,7 +133,6 @@ fn parse_args() -> Args {
         queue_cap: 32,
         batch: BatchPolicy::default(),
         replicate: Replicate::Off,
-        steal: ScatterPolicy::RoundRobin,
         spin: None,
         chaos: None,
         deadline: None,
@@ -194,13 +188,6 @@ fn parse_args() -> Args {
                             .unwrap_or_else(|| usage()),
                     ),
                     None => usage(),
-                };
-            }
-            "--steal" => {
-                args.steal = match it.next().as_deref() {
-                    Some("on") => ScatterPolicy::WorkStealing,
-                    Some("off") => ScatterPolicy::RoundRobin,
-                    _ => usage(),
                 };
             }
             "--spin" => {
@@ -399,7 +386,6 @@ fn main() -> ExitCode {
                 alias: args.alias,
                 max_threads: args.threads,
                 replicate: args.replicate,
-                scatter: args.steal,
                 ..DswpOptions::default()
             };
             match dswp_loop(&mut program, main_fn, header, &profile, &opts) {
@@ -415,18 +401,13 @@ fn main() -> ExitCode {
                     );
                     for info in &report.replication {
                         eprintln!(
-                            "replicate: stage {} x{} ({} new queue(s), {} new thread(s){}{})",
+                            "replicate: stage {} x{} ({} new queue(s), {} new thread(s){})",
                             info.stage,
                             info.replicas,
                             info.new_queues,
                             info.new_threads,
                             if info.gather.is_some() {
                                 ", gathered"
-                            } else {
-                                ""
-                            },
-                            if info.policy == ScatterPolicy::WorkStealing {
-                                ", stealing"
                             } else {
                                 ""
                             }

@@ -198,13 +198,7 @@ fn multi_context_engines_name_the_faulting_thread() {
 #[test]
 fn interpreter_rejects_queue_instructions_at_their_instruction() {
     type Emit = fn(&mut FunctionBuilder<'_>) -> dswp_repro::ir::InstrId;
-    let queue_ops: [(&str, Emit); 2] = [
-        ("produce", |f| f.produce(QueueId(0), 5)),
-        ("queue_depth", |f| {
-            let r = f.reg();
-            f.queue_depth(r, QueueId(0))
-        }),
-    ];
+    let queue_ops: [(&str, Emit); 1] = [("produce", |f| f.produce(QueueId(0), 5))];
     for (name, emit) in queue_ops {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main");

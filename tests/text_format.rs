@@ -172,3 +172,14 @@ fn parse_errors_are_actionable() {
     assert!(err.line > 0);
     assert!(err.message.contains("bogus"), "{err}");
 }
+
+/// `DEPTH` (a queue-occupancy probe) is no longer an instruction: a program
+/// that still uses it gets a located parse error naming it.
+#[test]
+fn removed_depth_op_is_a_parse_error() {
+    let bad = FIXTURE.replace("r2 = add r2, 1", "r2 = DEPTH [q0]");
+    assert_ne!(bad, FIXTURE);
+    let err = parse_program(&bad).unwrap_err();
+    assert!(err.line > 0);
+    assert!(err.message.contains("DEPTH"), "{err}");
+}
