@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use crate::exec::{checked_read, checked_write, new_frame, step, Env, Fault, Flow};
+use crate::exec::{checked_read, checked_write, step, Code, Env, Fault, Flow};
 use crate::op::{BinOp, CmpOp, UnOp};
 use crate::program::Program;
 use crate::types::{BlockId, FuncId, InstrId, QueueId};
@@ -235,26 +235,26 @@ impl<'p> Interpreter<'p> {
         let mut profile = Profile::zeroed(program);
         let mut steps: u64 = 0;
 
+        let code = Code::new(program);
         let entry = program.main();
-        let mut stack = vec![new_frame(program.function(entry), entry)];
-        profile.bump(entry, program.function(entry).entry());
+        let mut stack = vec![code.new_frame(entry)];
+        profile.bump(entry, code.block(entry, stack[0].pc));
 
         loop {
             if steps >= self.step_limit {
                 return Err(InterpError::StepLimit(self.step_limit));
             }
             steps += 1;
-            match step(program, &mut stack, &mut env).map_err(InterpError::from_fault)? {
+            match step(&code, &mut stack, &mut env).map_err(InterpError::from_fault)? {
                 Flow::Next | Flow::Returned => {}
                 Flow::Jumped | Flow::Called => {
                     let frame = stack.last().expect("non-empty call stack");
-                    profile.bump(frame.func, frame.block);
+                    profile.bump(frame.func, code.block(frame.func, frame.pc));
                 }
                 Flow::Halted => break,
                 Flow::Stalled => {
                     let frame = stack.last().expect("non-empty call stack");
-                    let func = program.function(frame.func);
-                    let instr = func.block(frame.block).instrs()[frame.index];
+                    let instr = code.instr_id(frame.func, frame.pc);
                     return Err(InterpError::QueueOpInSingleThread(instr));
                 }
             }

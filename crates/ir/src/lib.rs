@@ -80,7 +80,7 @@ pub mod verify;
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use function::{Block, Function};
 pub use latency::LatencyTable;
-pub use op::{BinOp, CmpOp, LatencyClass, Op, Operand, UnOp};
+pub use op::{BinOp, CmpOp, LatencyClass, Op, Operand, UnOp, Uses};
 pub use program::Program;
 pub use text::{parse_program, to_text, ParseError};
 pub use types::{BlockId, FuncId, InstrId, QueueId, Reg, RegionId};

@@ -205,6 +205,46 @@ impl MemInfo {
     }
 }
 
+/// The registers an instruction reads ([`Op::uses`]), in operand order.
+///
+/// No instruction reads more than two registers, so the set is stored
+/// inline; computing it never allocates. Dereferences to a slice and
+/// iterates by value.
+#[derive(Clone, Copy, Debug)]
+pub struct Uses {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Uses {
+    const NONE: Uses = Uses {
+        regs: [Reg(0); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Uses {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Uses {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// An IR instruction.
 ///
 /// `Br`, `Jump`, `Ret` and `Halt` are *terminators* and may only appear as
@@ -354,8 +394,8 @@ impl Op {
     }
 
     /// The registers read by this instruction, in operand order.
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(2);
+    pub fn uses(&self) -> Uses {
+        let mut out = Uses::NONE;
         let mut push = |o: Operand| {
             if let Operand::Reg(r) = o {
                 out.push(r);
@@ -563,7 +603,7 @@ mod tests {
             rhs: Operand::Imm(3),
         };
         assert_eq!(op.def(), Some(r(0)));
-        assert_eq!(op.uses(), vec![r(1)]);
+        assert_eq!(*op.uses(), [r(1)]);
 
         let st = Op::Store {
             src: Operand::Reg(r(2)),
@@ -572,7 +612,19 @@ mod tests {
             mem: MemInfo::UNKNOWN,
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![r(2), r(3)]);
+        assert_eq!(*st.uses(), [r(2), r(3)]);
+    }
+
+    #[test]
+    fn immediate_store_uses_only_its_address() {
+        let st = Op::Store {
+            src: Operand::Imm(7),
+            addr: r(3),
+            offset: 0,
+            mem: MemInfo::UNKNOWN,
+        };
+        assert_eq!(*st.uses(), [r(3)]);
+        assert_eq!(st.uses().into_iter().collect::<Vec<_>>(), vec![r(3)]);
     }
 
     #[test]
@@ -620,7 +672,7 @@ mod tests {
         };
         op.map_regs(|x| Reg(x.0 + 10));
         assert_eq!(op.def(), Some(r(10)));
-        assert_eq!(op.uses(), vec![r(11), r(12)]);
+        assert_eq!(*op.uses(), [r(11), r(12)]);
     }
 
     #[test]

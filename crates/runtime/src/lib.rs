@@ -138,6 +138,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dswp_ir::exec::Code;
 use dswp_ir::Program;
 
 use monitor::{Monitor, Verdict};
@@ -549,6 +550,7 @@ impl<'p> Runtime<'p> {
             .collect();
         let shared = Shared {
             program,
+            code: Code::new(program),
             memory: program
                 .initial_memory
                 .iter()

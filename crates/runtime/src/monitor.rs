@@ -25,10 +25,13 @@
 //! those buffers, which is what keeps buffering from manufacturing
 //! deadlocks that the unbatched runtime would not have.
 //!
-//! Waiters poll with a bounded `wait_timeout`, so a lost wakeup costs
-//! milliseconds, never liveness.
+//! A waiter announces itself in `blocked_hint` and then re-checks its
+//! queues; a thread that publishes to a queue then reads the hint. A
+//! SeqCst fence on each side keeps the two from missing each other.
+//! Waiters still poll with a bounded `wait_timeout`, so a wakeup lost any
+//! other way costs milliseconds, never liveness.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -210,6 +213,11 @@ impl Monitor {
         let mut st = self.lock();
         st.blocked[thread] = Some(set.clone());
         self.blocked_hint.fetch_add(1, Ordering::Relaxed);
+        // Pairs with the fence in `notify_activity`: either that thread's
+        // hint load sees this increment, or the re-check below sees the
+        // queue state it published. Without both fences each side may read
+        // the other's old value, and this thread sleeps a full timeout.
+        fence(Ordering::SeqCst);
         let outcome = loop {
             // Satisfiability first: a value that arrived just before a Park
             // verdict cannot exist (Park requires global unsatisfiability),
@@ -262,8 +270,11 @@ impl Monitor {
     }
 
     /// Wakes blocked threads after a successful queue operation. Cheap
-    /// (one relaxed load) when nobody is blocked.
+    /// (a fence and one relaxed load) when nobody is blocked.
     pub fn notify_activity(&self) {
+        // Orders the caller's queue publish before the hint load; see
+        // `wait`.
+        fence(Ordering::SeqCst);
         if self.blocked_hint.load(Ordering::Relaxed) > 0 {
             let _guard = self.lock();
             self.cond.notify_all();

@@ -56,7 +56,7 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::{new_frame, step, Env, Fault, Flow, Frame};
+use dswp_ir::exec::{step, Code, Env, Fault, Flow, Frame};
 use dswp_ir::{Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
@@ -74,6 +74,8 @@ const STEP_BATCH: u64 = 1024;
 #[derive(Debug)]
 pub(crate) struct Shared<'p> {
     pub program: &'p Program,
+    /// The program decoded once for every stage thread.
+    pub code: Code,
     pub memory: Vec<AtomicI64>,
     pub queues: Vec<SpscQueue>,
     pub monitor: Monitor,
@@ -437,11 +439,15 @@ impl Stage<'_, '_> {
             stall,
             || {
                 let n = q.push_batch(&buf[pos..]);
+                pos += n;
+                if pos == total {
+                    return Some(0); // `comm_wait` wakes the consumer
+                }
                 if n > 0 {
-                    pos += n;
+                    // Wake the consumer for the part published so far.
                     shared.monitor.notify_activity();
                 }
-                (pos == total).then_some(0)
+                None
             },
         );
         if matches!(res, QueueOutcome::Done(_)) {
@@ -573,9 +579,8 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
         backoff: Backoff::default(),
         stop: None,
     };
-    let program = shared.program;
-    let entry = program.thread_entries()[thread];
-    let mut stack: Vec<Frame> = vec![new_frame(program.function(entry), entry)];
+    let code = &shared.code;
+    let mut stack: Vec<Frame> = vec![code.new_frame(shared.program.thread_entries()[thread])];
     let mut steps: u64 = 0;
     let mut budget: u64 = 0;
 
@@ -618,7 +623,7 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
             stage.faults.on_step(thread, steps, &shared.queues);
         }
 
-        match step(program, &mut stack, &mut stage) {
+        match step(code, &mut stack, &mut stage) {
             Ok(Flow::Next | Flow::Jumped | Flow::Called | Flow::Returned) => {}
             Ok(Flow::Halted) => {
                 // Neither `halt` nor the terminate sentinel is a counted

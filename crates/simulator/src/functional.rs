@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dswp_ir::exec::{checked_read, checked_write, new_frame, step, Env, Fault, Flow, Frame};
+use dswp_ir::exec::{checked_read, checked_write, step, Code, Env, Fault, Flow, Frame};
 use dswp_ir::{Program, QueueId};
 
 /// Errors raised by the functional executor.
@@ -137,11 +137,12 @@ impl<'p> Executor<'p> {
             max_occupancy: 0,
         };
 
+        let code = Code::new(program);
         let mut contexts: Vec<Context> = program
             .thread_entries()
             .iter()
             .map(|&entry| Context {
-                stack: vec![new_frame(program.function(entry), entry)],
+                stack: vec![code.new_frame(entry)],
                 halted: false,
             })
             .collect();
@@ -159,7 +160,7 @@ impl<'p> Executor<'p> {
                     if total_steps >= self.step_limit {
                         return Err(ExecError::StepLimit(self.step_limit));
                     }
-                    match step(program, &mut ctx.stack, &mut env)
+                    match step(&code, &mut ctx.stack, &mut env)
                         .map_err(|f| ExecError::from_fault(f, t))?
                     {
                         Flow::Stalled => break,

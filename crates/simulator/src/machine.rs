@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use dswp_ir::exec::{checked_read, checked_write, new_frame, step, Env, Fault, Flow, Frame};
+use dswp_ir::exec::{checked_read, checked_write, step, Code, Env, Fault, Flow, Frame};
 use dswp_ir::{Op, Program, QueueId};
 
 use crate::cache::{CacheModel, CacheStats};
@@ -233,14 +233,15 @@ impl<'p> Machine<'p> {
             cycle: 0,
             latency: 0,
         };
+        let code = Code::new(program);
         let mut cores: Vec<Core> = program
             .thread_entries()
             .iter()
             .map(|&e| {
-                let f = program.function(e);
+                let frame = code.new_frame(e);
                 Core {
-                    stack: vec![new_frame(f, e)],
-                    ready: vec![vec![0; f.num_regs() as usize]],
+                    ready: vec![vec![0; frame.regs.len()]],
+                    stack: vec![frame],
                     halted: false,
                     next_issue: 0,
                     stats: CoreStats::default(),
@@ -272,7 +273,7 @@ impl<'p> Machine<'p> {
                     continue;
                 }
                 core.stats.active_cycles += 1;
-                match issue_cycle(program, cfg, core, &mut env, c, cycle)? {
+                match issue_cycle(program, &code, cfg, core, &mut env, c, cycle)? {
                     CycleOutcome::Issued(n) => {
                         debug_assert!(n > 0);
                         stall_flags[2] = true;
@@ -420,6 +421,7 @@ enum CycleOutcome {
 /// Issues as many instructions as the cycle allows on one core.
 fn issue_cycle(
     program: &Program,
+    code: &Code,
     cfg: &MachineConfig,
     core: &mut Core,
     env: &mut Uncore,
@@ -437,8 +439,9 @@ fn issue_cycle(
 
     'issue: while issued < cfg.issue_width {
         let frame = core.stack.last().expect("live core has a frame");
-        let func = program.function(frame.func);
-        let op = func.op(func.block(frame.block).instrs()[frame.index]);
+        let op = program
+            .function(frame.func)
+            .op(code.instr_id(frame.func, frame.pc));
         let ready = core.ready.last_mut().expect("one scoreboard per frame");
 
         // Structural: M-port limit.
@@ -476,7 +479,7 @@ fn issue_cycle(
         // ---- issue: execute functionally, assign latency ----
         env.latency = cfg.latency.op(op);
         let flow =
-            step(program, &mut core.stack, env).map_err(|f| SimError::from_fault(f, core_id))?;
+            step(code, &mut core.stack, env).map_err(|f| SimError::from_fault(f, core_id))?;
         core.stats.retired += 1;
         issued += 1;
         match flow {

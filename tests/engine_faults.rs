@@ -8,11 +8,17 @@
 //! thread for a `ret` from an entry function. The multi-context engines
 //! also run each faulting body as thread 1 next to a main thread that halts
 //! at once, so the reported thread is checked as well.
+//!
+//! Unverified programs with a branch to a missing block or a call of a
+//! missing function must behave the same everywhere too: as dead code when
+//! the bad instruction never runs, and as a panic when it does.
 
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use dswp_repro::ir::interp::{InterpError, Interpreter};
-use dswp_repro::ir::{FunctionBuilder, Program, ProgramBuilder, QueueId};
+use dswp_repro::ir::verify::verify_program;
+use dswp_repro::ir::{BlockId, FuncId, FunctionBuilder, Program, ProgramBuilder, QueueId, Reg};
 use dswp_repro::rt::{RtConfig, RtError, Runtime};
 use dswp_repro::sim::{ExecError, Executor, Machine, MachineConfig, SimError};
 
@@ -216,4 +222,99 @@ fn interpreter_rejects_queue_instructions_at_their_instruction() {
             "{name}"
         );
     }
+}
+
+/// A main thread that stores 7 and halts, followed by a block nothing
+/// branches to, holding `dead`. The unreachable block makes the program
+/// fail verification but never runs.
+fn with_dead_block(dead: fn(&mut FunctionBuilder<'_>)) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("main");
+    let e = f.entry_block();
+    let unreachable = f.block("unreachable");
+    f.switch_to(e);
+    let (a, v) = (f.reg(), f.reg());
+    f.iconst(a, 1);
+    f.iconst(v, 7);
+    f.store(v, a, 0);
+    f.halt();
+    f.switch_to(unreachable);
+    dead(&mut f);
+    let main = f.finish();
+    pb.finish(main, MEM)
+}
+
+/// What one run of every engine observed: memory and entry registers of
+/// each, interpreter, executor and native steps, and Machine cycles.
+fn observe(p: &Program) -> (Vec<Vec<i64>>, u64, Vec<u64>, u64, Vec<u64>) {
+    let interp = Interpreter::new(p).run().unwrap();
+    let exec = Executor::new(p).run().unwrap();
+    let sim = Machine::new(p, MachineConfig::full_width()).run().unwrap();
+    let config = RtConfig::default().deadline(Duration::from_secs(30));
+    let native = Runtime::new(p).with_config(config).run().unwrap();
+    let images = vec![
+        interp.memory,
+        interp.entry_regs,
+        exec.memory,
+        exec.entry_regs,
+        sim.memory,
+        sim.entry_regs,
+        native.memory,
+        native.entry_regs,
+    ];
+    let native_steps = native.stages.iter().map(|s| s.steps).collect();
+    (images, interp.steps, exec.steps, sim.cycles, native_steps)
+}
+
+#[test]
+fn never_executed_dangling_targets_run_like_dead_code() {
+    type Dead = fn(&mut FunctionBuilder<'_>);
+    let dead: [(&str, Dead); 3] = [
+        ("jump to a missing block", |f| {
+            f.jump(BlockId(99));
+        }),
+        ("branch to a missing block", |f| {
+            f.br(Reg(0), BlockId(98), BlockId(99));
+        }),
+        ("call of a missing function", |f| {
+            f.call(FuncId(99));
+            f.halt();
+        }),
+    ];
+    // The same dead block with only a `halt`: a verified program.
+    let clean = observe(&with_dead_block(|f| {
+        f.halt();
+    }));
+    assert_eq!(clean.0[0], [0, 7, 0, 0]);
+    for (name, body) in dead {
+        let p = with_dead_block(body);
+        assert!(verify_program(&p).is_err(), "{name}: must be unverified");
+        assert_eq!(observe(&p), clean, "{name}");
+    }
+}
+
+#[test]
+fn executed_call_of_a_missing_function_fails_closed() {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("main");
+    let e = f.entry_block();
+    f.switch_to(e);
+    f.call(FuncId(99));
+    f.halt();
+    let main = f.finish();
+    let p = pb.finish(main, MEM);
+    // No engine may run past the call: the three in-process engines panic,
+    // and the native runtime reports the panic of the stage.
+    let panics = |run: &dyn Fn()| std::panic::catch_unwind(AssertUnwindSafe(run)).is_err();
+    assert!(panics(&|| drop(Interpreter::new(&p).run())), "interpreter");
+    assert!(panics(&|| drop(Executor::new(&p).run())), "executor");
+    assert!(
+        panics(&|| drop(Machine::new(&p, MachineConfig::full_width()).run())),
+        "machine"
+    );
+    let config = RtConfig::default().deadline(Duration::from_secs(30));
+    assert!(matches!(
+        Runtime::new(&p).with_config(config).run(),
+        Err(RtError::StagePanic { stage: 0, .. })
+    ));
 }
