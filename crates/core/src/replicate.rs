@@ -36,9 +36,9 @@
 //!
 //! Every queue in the replicated pipeline — instances included — keeps
 //! exactly one producer thread and one consumer thread, so the native
-//! runtime's SPSC rings, its batching, and the deadlock monitor's
-//! `WaitSet` reasoning stay exact without modification, and the executor /
-//! interpreter equivalence argument carries over unchanged.
+//! runtime's SPSC rings (whose endpoints a stage must claim), its
+//! batching and its deadlock monitor stay exact without modification, and
+//! the executor / interpreter equivalence argument carries over unchanged.
 
 use std::collections::BTreeMap;
 

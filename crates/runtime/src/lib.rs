@@ -12,15 +12,17 @@
 //!   correctness oracle;
 //! * this [`Runtime`] spawns **one OS thread per pipeline stage** and
 //!   implements the synchronization array as bounded lock-free SPSC
-//!   ring-buffer queues ([`queue::SpscQueue`]), with park/unpark
-//!   backpressure and a deadlock watchdog.
+//!   ring-buffer queues ([`queue::SpscQueue`]) whose single producer and
+//!   single consumer are endpoint types ([`queue::Producer`],
+//!   [`queue::Consumer`]), with park/unpark backpressure and a deadlock
+//!   watchdog.
 //!
 //! The synchronization-array gap the paper glosses over — its hardware
 //! `produce`/`consume` cost ~a cycle, a software queue costs a cross-core
 //! cache-line transfer per cursor update — is attacked with **batched
-//! communication** ([`BatchPolicy`]): values are accumulated in per-queue
-//! local buffers and published/acquired a chunk at a time, with forced
-//! flushes on blocking waits, stage end, and a step cadence so batching
+//! communication** ([`BatchPolicy`]): values are written straight into
+//! their ring slots and published/acquired a chunk at a time, with forced
+//! publishes on blocking waits, stage end, and a step cadence so batching
 //! never changes observable results or liveness, only timing.
 //!
 //! Every engine executes instructions through the one
@@ -142,7 +144,7 @@ use dswp_ir::exec::Code;
 use dswp_ir::Program;
 
 use monitor::{Monitor, Verdict};
-use worker::{run_worker, Shared, WorkerEnd, WorkerReport};
+use worker::{run_worker, Endpoints, Shared, WorkerEnd, WorkerReport};
 
 pub use fault::{silence_injected_panics, FaultPlan, InjectedPanic};
 pub use queue::{BatchHistogram, QueueStats};
@@ -196,6 +198,20 @@ pub enum RtError {
         /// The stage whose operation observed the poison.
         stage: usize,
     },
+    /// A second stage used a side of a queue that another stage already
+    /// holds: the program is not single-producer/single-consumer on that
+    /// queue. Detected on the second stage's first use of the side,
+    /// whatever the timing.
+    QueueShared {
+        /// The shared queue.
+        queue: usize,
+        /// The side both stages used.
+        side: QueueSide,
+        /// The stage that claimed the side first.
+        owner: usize,
+        /// The stage whose claim was refused.
+        stage: usize,
+    },
     /// The per-run wall-clock deadline ([`RtConfig::deadline`]) elapsed.
     Timeout {
         /// The stage diagnosed as stuck: the first blocked stage if any,
@@ -242,6 +258,18 @@ impl fmt::Display for RtError {
                     "queue {queue} poisoned: stage {stage} cannot complete its operation"
                 )
             }
+            RtError::QueueShared {
+                queue,
+                side,
+                owner,
+                stage,
+            } => {
+                write!(
+                    f,
+                    "queue {queue} has more than one {side}: stage {stage} \
+                     uses the side stage {owner} holds"
+                )
+            }
             RtError::Timeout {
                 stage,
                 last_progress,
@@ -257,6 +285,24 @@ impl fmt::Display for RtError {
 }
 
 impl std::error::Error for RtError {}
+
+/// One side of a queue, as named in [`RtError::QueueShared`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueueSide {
+    /// The side that produces into the queue.
+    Producer,
+    /// The side that consumes from the queue.
+    Consumer,
+}
+
+impl fmt::Display for QueueSide {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            QueueSide::Producer => "producer",
+            QueueSide::Consumer => "consumer",
+        })
+    }
+}
 
 /// Cooperative cancellation handle for a native run.
 ///
@@ -290,14 +336,16 @@ impl CancelToken {
 /// roughly one cycle each; a software SPSC queue pays a cross-core
 /// cache-line transfer per cursor update instead. Batching amortizes that
 /// cost over a chunk of values. Correctness is batch-size-independent —
-/// the worker force-flushes on blocking waits, stage end, and every
+/// the worker force-publishes on blocking waits, stage end, and every
 /// `STEP_BATCH` retired instructions, and consumers never wait for a full
 /// chunk — so the policy only trades latency for synchronization
-/// throughput. The default is [`BatchPolicy::Auto`].
+/// throughput. A chunk larger than the queue capacity publishes whenever
+/// the ring is full of unpublished values, that is, at the capacity. The
+/// default is [`BatchPolicy::Auto`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchPolicy {
     /// Use this chunk size on every queue. `Fixed(1)` is the unbatched
-    /// runtime: every produce is its own flush and every consume its own
+    /// runtime: every produce is its own publish and every consume its own
     /// refill, which is also the per-value cadence fault stalls count in.
     Fixed(usize),
     /// Derive the chunk size from the queue capacity:
@@ -469,11 +517,12 @@ pub struct StageStats {
     pub parks: u64,
     /// Whether the stage thread panicked (caught by crash recovery).
     pub panicked: bool,
-    /// Sizes of the logical output batches this stage flushed (one entry
-    /// per blocking flush; size = values delivered by that flush).
+    /// Sizes of the output batches this stage published (one entry per
+    /// `b`-value or stage-end publish; the forced publishes before a block
+    /// and on the step cadence count at queue level only).
     pub flushes: BatchHistogram,
     /// Sizes of the input batches this stage refilled (one entry per
-    /// blocking refill; size = values acquired by that refill).
+    /// refill; size = values acquired by that refill).
     pub refills: BatchHistogram,
 }
 
@@ -536,7 +585,9 @@ impl<'p> Runtime<'p> {
         let num_threads = program.thread_entries().len();
         let queue_capacity = self.config.effective_queue_capacity();
         // Per-queue effective batch sizes, computed after the capacity
-        // override so `BatchPolicy::Auto` tracks the real queue size.
+        // override so `BatchPolicy::Auto` tracks the real queue size. A
+        // producer can hold at most `capacity` unpublished values, so a
+        // larger chunk publishes when the ring is full of them.
         let base_chunk = self.config.batch.chunk(queue_capacity);
         let batches: Vec<usize> = (0..program.num_queues as usize)
             .map(|qi| {
@@ -545,7 +596,7 @@ impl<'p> Runtime<'p> {
                     .as_ref()
                     .and_then(|v| v.get(qi).copied())
                     .unwrap_or(base_chunk)
-                    .max(1)
+                    .clamp(1, queue_capacity)
             })
             .collect();
         let shared = Shared {
@@ -556,8 +607,12 @@ impl<'p> Runtime<'p> {
                 .iter()
                 .map(|&v| AtomicI64::new(v))
                 .collect(),
-            queues: (0..program.num_queues as usize)
-                .map(|_| queue::SpscQueue::new(queue_capacity, self.config.record_streams))
+            // Each ring also holds the batch its consumer is reading.
+            queues: batches
+                .iter()
+                .map(|&b| {
+                    queue::SpscQueue::with_reserve(queue_capacity, b, self.config.record_streams)
+                })
                 .collect(),
             monitor: Monitor::new(num_threads),
             batches,
@@ -609,6 +664,7 @@ impl<'p> Runtime<'p> {
                                     parks: 0,
                                     flushes: BatchHistogram::default(),
                                     refills: BatchHistogram::default(),
+                                    _endpoints: Endpoints::default(),
                                 }
                             },
                         )

@@ -16,20 +16,22 @@
 //! blocked, the program is *deadlocked* and the run fails with
 //! [`RtError::Deadlock`].
 //!
-//! With batched communication a blocked thread may hold *pending flush
-//! buffers* for other queues. Those buffered values could unblock a peer,
-//! so a thread registers a [`WaitSet`]: its primary blocked operation plus
-//! every queue it still owes a flush to. The thread is woken (and
-//! quiescence is denied) whenever the primary op *or any pending flush*
-//! becomes performable — the blocking loop in the worker then side-flushes
-//! those buffers, which is what keeps buffering from manufacturing
-//! deadlocks that the unbatched runtime would not have.
+//! With batched communication a thread may hold written-but-unpublished
+//! values and read-but-unreleased slots. The worker publishes and releases
+//! all of them before it blocks, so the shared cursors the monitor reads
+//! are the whole truth about a blocked thread: it waits on exactly one
+//! operation, and quiescence is decided on that alone. (A queue operation
+//! that a fault plan stalls may keep the values it is itself publishing;
+//! its queue then cannot look full, so that wait is always satisfiable and
+//! never counts towards quiescence.)
 //!
 //! A waiter announces itself in `blocked_hint` and then re-checks its
-//! queues; a thread that publishes to a queue then reads the hint. A
-//! SeqCst fence on each side keeps the two from missing each other.
-//! Waiters still poll with a bounded `wait_timeout`, so a wakeup lost any
-//! other way costs milliseconds, never liveness.
+//! queues; a thread that moved a queue cursor then reads the hint. A
+//! SeqCst fence on each side keeps the two from missing each other. The
+//! worker pays for its side once per step cadence, before it blocks and at
+//! stage end, not once per publish or refill, so a parked peer may wake up
+//! to one cadence late. Waiters still poll with a bounded `wait_timeout`,
+//! so a wakeup lost any other way costs milliseconds, never liveness.
 
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -54,25 +56,20 @@ pub(crate) struct BlockInfo {
     pub kind: BlockKind,
 }
 
-/// Everything a blocked thread is waiting on: the operation it cannot
-/// complete, plus the queues it holds non-empty local output buffers for
-/// (a flush to any of them is progress too).
-#[derive(Clone, Debug)]
-pub(crate) struct WaitSet {
-    /// The operation the thread is actually blocked on.
-    pub primary: BlockInfo,
-    /// Queues with pending (non-empty) local output buffers.
-    pub flush: Vec<usize>,
-}
+impl BlockInfo {
+    /// A wait to produce into `queue`.
+    pub fn produce(queue: usize) -> Self {
+        BlockInfo {
+            queue,
+            kind: BlockKind::Produce,
+        }
+    }
 
-impl WaitSet {
-    /// A wait on a single operation with no pending flushes — the
-    /// un-batched shape.
-    #[cfg(test)]
-    pub fn solo(queue: usize, kind: BlockKind) -> Self {
-        WaitSet {
-            primary: BlockInfo { queue, kind },
-            flush: Vec::new(),
+    /// A wait to consume from `queue`.
+    pub fn consume(queue: usize) -> Self {
+        BlockInfo {
+            queue,
+            kind: BlockKind::Consume,
         }
     }
 }
@@ -90,8 +87,7 @@ pub(crate) enum Verdict {
 /// What a blocked thread should do next.
 #[derive(Debug)]
 pub(crate) enum WaitOutcome {
-    /// The blocked operation (or a pending flush) became satisfiable —
-    /// retry it.
+    /// The blocked operation became satisfiable — retry it.
     Ready,
     /// Park verdict: stop this thread, the run completed without it.
     Park,
@@ -101,8 +97,8 @@ pub(crate) enum WaitOutcome {
 
 #[derive(Debug)]
 struct MonState {
-    /// `Some(set)` while thread `t` is blocked inside [`Monitor::wait`].
-    blocked: Vec<Option<WaitSet>>,
+    /// `Some(op)` while thread `t` is blocked inside [`Monitor::wait`].
+    blocked: Vec<Option<BlockInfo>>,
     /// Whether thread `t` has terminated (halt or terminate sentinel).
     terminated: Vec<bool>,
     verdict: Option<Verdict>,
@@ -134,21 +130,6 @@ fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
     }
 }
 
-/// Whether anything in the wait set can make progress: the primary op, or a
-/// flush of a pending output buffer (a produce-shaped op on that queue).
-fn satisfiable_set(set: &WaitSet, queues: &[SpscQueue]) -> bool {
-    satisfiable(set.primary, queues)
-        || set.flush.iter().any(|&q| {
-            satisfiable(
-                BlockInfo {
-                    queue: q,
-                    kind: BlockKind::Produce,
-                },
-                queues,
-            )
-        })
-}
-
 impl Monitor {
     pub fn new(num_threads: usize) -> Self {
         Monitor {
@@ -171,9 +152,8 @@ impl Monitor {
     }
 
     /// Quiescence check, called with the state lock held: if every live
-    /// thread is blocked and nothing in any blocked thread's wait set is
-    /// satisfiable, nothing can ever happen again — decide Park vs
-    /// Deadlock.
+    /// thread is blocked and no blocked operation is satisfiable, nothing
+    /// can ever happen again — decide Park vs Deadlock.
     fn quiescent_verdict(st: &MonState, queues: &[SpscQueue]) -> Option<Verdict> {
         let all_stopped = st
             .blocked
@@ -187,7 +167,7 @@ impl Monitor {
             .blocked
             .iter()
             .flatten()
-            .any(|s| satisfiable_set(s, queues))
+            .any(|&op| satisfiable(op, queues))
         {
             return None;
         }
@@ -205,13 +185,13 @@ impl Monitor {
         }
     }
 
-    /// Blocks `thread` on `set` until anything in it becomes satisfiable or
-    /// a verdict is issued. Re-runs the quiescence check on every poll, so
+    /// Blocks `thread` on `op` until it becomes satisfiable or a verdict is
+    /// issued. Re-runs the quiescence check on every poll, so
     /// whichever thread blocks last detects deadlock within one poll
     /// interval.
-    pub fn wait(&self, thread: usize, set: &WaitSet, queues: &[SpscQueue]) -> WaitOutcome {
+    pub fn wait(&self, thread: usize, op: BlockInfo, queues: &[SpscQueue]) -> WaitOutcome {
         let mut st = self.lock();
-        st.blocked[thread] = Some(set.clone());
+        st.blocked[thread] = Some(op);
         self.blocked_hint.fetch_add(1, Ordering::Relaxed);
         // Pairs with the fence in `notify_activity`: either that thread's
         // hint load sees this increment, or the re-check below sees the
@@ -223,7 +203,7 @@ impl Monitor {
             // verdict cannot exist (Park requires global unsatisfiability),
             // and SPSC ownership means a satisfiable operation stays
             // satisfiable until *this* thread performs it.
-            if satisfiable_set(set, queues) {
+            if satisfiable(op, queues) {
                 break WaitOutcome::Ready;
             }
             match st.verdict {
@@ -269,10 +249,10 @@ impl Monitor {
         self.cond.notify_all();
     }
 
-    /// Wakes blocked threads after a successful queue operation. Cheap
-    /// (a fence and one relaxed load) when nobody is blocked.
+    /// Wakes blocked threads after queue cursors moved. Cheap (a fence
+    /// and one relaxed load) when nobody is blocked.
     pub fn notify_activity(&self) {
-        // Orders the caller's queue publish before the hint load; see
+        // Orders the caller's cursor stores before the hint load; see
         // `wait`.
         fence(Ordering::SeqCst);
         if self.blocked_hint.load(Ordering::Relaxed) > 0 {
@@ -294,20 +274,22 @@ impl Monitor {
             .blocked
             .iter()
             .enumerate()
-            .find_map(|(t, b)| b.as_ref().map(|set| (t, set.primary)))
+            .find_map(|(t, b)| b.map(|op| (t, op)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_native, RtConfig};
+    use dswp_ir::{ProgramBuilder, QueueId};
     use std::sync::Arc;
 
     #[test]
     fn lone_blocked_main_is_deadlock() {
         let queues = vec![SpscQueue::new(4, false)];
         let m = Monitor::new(1);
-        let out = m.wait(0, &WaitSet::solo(0, BlockKind::Consume), &queues);
+        let out = m.wait(0, BlockInfo::consume(0), &queues);
         assert!(matches!(out, WaitOutcome::Fail));
         assert!(matches!(
             m.verdict(),
@@ -320,8 +302,7 @@ mod tests {
         let queues = Arc::new(vec![SpscQueue::new(4, false)]);
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
-        let aux =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+        let aux = std::thread::spawn(move || mc.wait(1, BlockInfo::consume(0), &qc));
         std::thread::sleep(Duration::from_millis(5));
         m.terminate(0, &queues);
         assert!(matches!(aux.join().unwrap(), WaitOutcome::Park));
@@ -333,8 +314,7 @@ mod tests {
         let queues = Arc::new(vec![SpscQueue::new(1, false)]);
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
-        let consumer =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+        let consumer = std::thread::spawn(move || mc.wait(1, BlockInfo::consume(0), &qc));
         std::thread::sleep(Duration::from_millis(5));
         assert!(queues[0].try_produce(9));
         m.notify_activity();
@@ -347,46 +327,55 @@ mod tests {
         let queues = Arc::new(vec![SpscQueue::new(1, false)]);
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
-        let waiter =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+        let waiter = std::thread::spawn(move || mc.wait(1, BlockInfo::consume(0), &qc));
         std::thread::sleep(Duration::from_millis(5));
         m.fail(RtError::StepLimit(1));
         assert!(matches!(waiter.join().unwrap(), WaitOutcome::Fail));
     }
 
     #[test]
-    fn pending_flush_denies_quiescence() {
-        // Thread 0 (main) blocked consuming empty queue 1, but it owes a
-        // flush to queue 0 which has space: not a deadlock — the wait must
-        // return Ready so the worker can side-flush.
-        let queues = vec![SpscQueue::new(4, false), SpscQueue::new(4, false)];
-        let m = Monitor::new(1);
-        let set = WaitSet {
-            primary: BlockInfo {
-                queue: 1,
-                kind: BlockKind::Consume,
-            },
-            flush: vec![0],
-        };
-        let out = m.wait(0, &set, &queues);
-        assert!(matches!(out, WaitOutcome::Ready));
-        assert!(m.verdict().is_none());
+    fn blocked_stage_publishes_before_it_parks() {
+        // Main writes one value into a batch-64 chunk it never fills, then
+        // blocks consuming the echo. Only the publish-before-blocking rule
+        // can show the value to the echo stage; without it both stages
+        // would block and the monitor would call a deadlock.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let e = f.entry_block();
+        let (x, r, base) = (f.reg(), f.reg(), f.reg());
+        f.switch_to(e);
+        f.iconst(x, 7);
+        f.produce(QueueId(0), x);
+        f.consume(r, QueueId(1));
+        f.iconst(base, 0);
+        f.store(r, base, 0);
+        f.halt();
+        let main = f.finish();
+        let mut g = pb.function("echo");
+        let e2 = g.entry_block();
+        let v = g.reg();
+        g.switch_to(e2);
+        g.consume(v, QueueId(0));
+        g.produce(QueueId(1), v);
+        g.halt();
+        let echo = g.finish();
+        let mut p = pb.finish(main, 1);
+        p.num_queues = 2;
+        p.add_thread(echo);
+
+        let r = run_native(&p, RtConfig::default().batch(64)).unwrap();
+        assert_eq!(r.memory[0], 7);
+        assert_eq!(r.queues[0].flush_sizes.count, 1);
     }
 
     #[test]
-    fn unflushable_pending_flush_still_deadlocks() {
-        // Same shape, but the flush target is itself full: genuinely stuck.
-        let queues = vec![SpscQueue::new(1, false), SpscQueue::new(1, false)];
+    fn full_queue_nobody_drains_is_deadlock() {
+        // Main blocks producing into a full queue that no thread consumes:
+        // it holds nothing unpublished, so nothing can ever change.
+        let queues = vec![SpscQueue::new(1, false)];
         assert!(queues[0].try_produce(1));
         let m = Monitor::new(1);
-        let set = WaitSet {
-            primary: BlockInfo {
-                queue: 1,
-                kind: BlockKind::Consume,
-            },
-            flush: vec![0],
-        };
-        let out = m.wait(0, &set, &queues);
+        let out = m.wait(0, BlockInfo::produce(0), &queues);
         assert!(matches!(out, WaitOutcome::Fail));
         assert!(matches!(
             m.verdict(),

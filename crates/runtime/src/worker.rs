@@ -13,31 +13,47 @@
 //! routing every cross-stage memory dependence through a synchronization
 //! flow.
 //!
+//! # Endpoints
+//!
+//! A stage claims a queue's [`Producer`] on its first `produce` to that
+//! queue and its [`Consumer`] on its first `consume`, and keeps both until
+//! every stage has joined. A second stage on the same side of a queue
+//! therefore always fails with [`RtError::QueueShared`], whatever the
+//! timing.
+//!
 //! # Batched communication
 //!
-//! With a per-queue batch size `b > 1`, produced values are accumulated in
-//! a per-queue local buffer and *flushed* — published with one release
-//! store — when the buffer reaches `b` values; consumers *refill* a local
-//! buffer with up to `b` values in one acquire and serve from it. Four
-//! rules keep batching an invisible (timing-only) change:
+//! With a per-queue batch size `b`, a `produce` writes its value straight
+//! into the ring slot and a `consume` reads straight out of one; batching
+//! only decides when the cursors move. A producer *publishes* (one release
+//! store of `tail`) when `b` written values are pending, and a consumer
+//! *refills* (one acquire of `tail`, up to `b` values, never waiting for a
+//! full chunk) when it has read its batch, and *releases* the batch's slots
+//! (one release store) as soon as it has read the last of them. Each ring
+//! has `b` slots beyond the queue capacity for the batch being read, so no
+//! producer ever waits for a release. Three more publish rules keep
+//! batching an invisible (timing-only) change:
 //!
-//! * **Flush before blocking.** A thread that blocks for any reason
-//!   side-flushes every non-empty output buffer inside its blocking loop
-//!   and registers the still-pending ones in its monitor
-//!   [`WaitSet`], so buffered values can never
-//!   manufacture a deadlock the unbatched runtime would not have.
-//! * **Flush on stage end.** A terminating stage performs a blocking flush
-//!   of every residual buffer before it reports termination.
-//! * **Flush on cadence.** Every `STEP_BATCH` retired instructions (the
-//!   budget-refill boundary) the worker opportunistically flushes lingering
-//!   buffers, so a stage that stops producing but keeps computing cannot
-//!   starve its consumers behind a half-filled chunk.
-//! * **Refills never wait for a full chunk.** A refill takes whatever is
-//!   available (up to `b`), so a half-filled chunk published by the
-//!   producer is consumed immediately.
+//! * **Publish before blocking.** A stage about to block for any reason
+//!   first publishes every pending value and releases every read slot, so
+//!   nothing it holds can manufacture a deadlock the unbatched runtime
+//!   would not have, and the monitor need only look at the shared cursors.
+//!   Publishing never needs free space — the values already sit in their
+//!   slots — so this never blocks.
+//! * **Publish on stage end.** A terminating stage publishes and releases
+//!   everything before it reports termination.
+//! * **Publish on cadence.** Every `STEP_BATCH` retired instructions (the
+//!   budget-refill boundary) the worker publishes and releases whatever
+//!   lingers, so a stage that stops touching its queues but keeps
+//!   computing cannot starve its peers behind a half-filled chunk.
 //!
-//! Fault hooks fire per *flush/refill operation* — with `b = 1` every
-//! produce is a flush and every consume is a refill, so the unbatched
+//! Waking parked peers is batched along the same lines: a publish or refill
+//! only records that the stage owes a wake-up, and the stage pays for the
+//! monitor's fence at those three points, not once per batch.
+//!
+//! Fault hooks fire per *publish or refill operation* (the `b`-value
+//! publish, the stage-end publish, and every refill) — with `b = 1` every
+//! produce is a publish and every consume is a refill, so the unbatched
 //! fault cadence is preserved exactly.
 //!
 //! When the runtime carries a [`FaultPlan`], each worker additionally
@@ -60,13 +76,13 @@ use dswp_ir::exec::{step, Code, Env, Fault, Flow, Frame};
 use dswp_ir::{Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
-use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
-use crate::queue::{BatchHistogram, SpscQueue};
-use crate::RtError;
+use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome};
+use crate::queue::{BatchHistogram, Consumer, Producer, SpscQueue};
+use crate::{QueueSide, RtError};
 
 /// Steps claimed from the shared budget at a time; also the cadence of
-/// abort-flag checks, progress heartbeats, and opportunistic flushes of
-/// lingering output buffers.
+/// abort-flag checks, progress heartbeats, and publishes of lingering
+/// written values.
 const STEP_BATCH: u64 = 1024;
 
 /// Everything the stage threads share. Borrows the program for the scope of
@@ -116,9 +132,16 @@ pub(crate) enum WorkerEnd {
     Panicked,
 }
 
+/// The queue endpoints a stage has claimed, indexed by queue.
+#[derive(Debug, Default)]
+pub(crate) struct Endpoints<'a> {
+    outs: Vec<Option<Producer<'a>>>,
+    ins: Vec<Option<Consumer<'a>>>,
+}
+
 /// Per-stage outcome and statistics, returned through the scoped join.
-#[derive(Clone, Debug)]
-pub(crate) struct WorkerReport {
+#[derive(Debug)]
+pub(crate) struct WorkerReport<'a> {
     pub end: WorkerEnd,
     /// Successfully executed instructions (matches the functional
     /// executor's per-context step counts exactly).
@@ -134,64 +157,31 @@ pub(crate) struct WorkerReport {
     pub retries: u64,
     /// Times the stage gave up spinning and parked on the monitor.
     pub parks: u64,
-    /// Sizes of the logical output batches this stage flushed.
+    /// Sizes of the `b`-value and stage-end publishes of this stage.
     pub flushes: BatchHistogram,
     /// Sizes of the input batches this stage refilled.
     pub refills: BatchHistogram,
+    /// The stage's endpoints, held until every stage has joined so that no
+    /// other stage can claim the same side of a queue in this run.
+    pub _endpoints: Endpoints<'a>,
 }
 
 enum QueueOutcome {
     /// The operation completed; for consumes, carries the value.
     Done(i64),
-    /// The named queue was poisoned: the peer endpoint is dead (or a fault
-    /// plan poisoned it) and the operation — or a pending flush to it —
-    /// can never complete meaningfully.
-    Poisoned(usize),
+    /// The operation can never complete: its queue (or one this stage
+    /// still owes a publish) is poisoned — the peer endpoint is dead, or a
+    /// fault plan poisoned it — or another stage holds its side of the
+    /// queue.
+    Failed(RtError),
     Stop(WorkerEnd),
-}
-
-/// Per-queue consumer-side local buffer: values acquired in one refill,
-/// served one at a time.
-#[derive(Debug, Default)]
-struct InBuf {
-    vals: Vec<i64>,
-    next: usize,
-}
-
-impl InBuf {
-    fn pop(&mut self) -> Option<i64> {
-        let v = *self.vals.get(self.next)?;
-        self.next += 1;
-        Some(v)
-    }
-}
-
-/// A worker's communication state: per-queue output buffers awaiting a
-/// flush, per-queue input buffers being served, and the per-stage batch
-/// histograms.
-struct Comm {
-    out: Vec<Vec<i64>>,
-    inq: Vec<InBuf>,
-    flushes: BatchHistogram,
-    refills: BatchHistogram,
-}
-
-impl Comm {
-    fn new(num_queues: usize) -> Self {
-        Comm {
-            out: vec![Vec::new(); num_queues],
-            inq: (0..num_queues).map(|_| InBuf::default()).collect(),
-            flushes: BatchHistogram::default(),
-            refills: BatchHistogram::default(),
-        }
-    }
 }
 
 /// The per-worker fault-injection state: counters that decide when the
 /// stage's [`StageFaults`] fire.
 struct FaultSession {
     faults: StageFaults,
-    /// Flush/refill operations performed so far (drives stall cadence;
+    /// Publish/refill operations performed so far (drives stall cadence;
     /// with batch size 1 this is exactly the queue-operation count).
     queue_ops: u64,
     /// Whether the poison fault already fired.
@@ -241,7 +231,7 @@ impl FaultSession {
         }
     }
 
-    /// Flush/refill hook: how many attempts of the upcoming operation
+    /// Publish/refill hook: how many attempts of the upcoming operation
     /// must artificially fail (`u32::MAX` = the operation never completes).
     fn stall_budget(&mut self) -> u32 {
         self.queue_ops += 1;
@@ -266,108 +256,172 @@ struct Backoff {
     parks: u64,
 }
 
-/// Opportunistically flushes every non-empty output buffer as far as the
-/// queues allow (never blocking). Called at budget-refill boundaries and
-/// from inside the blocking loop, so buffered values reach consumers even
-/// while this stage computes or waits on a different queue.
-fn side_flush(shared: &Shared<'_>, out: &mut [Vec<i64>]) {
-    let mut progress = false;
-    for (qi, buf) in out.iter_mut().enumerate() {
-        if buf.is_empty() {
-            continue;
-        }
-        let q = &shared.queues[qi];
-        if q.is_poisoned() {
-            continue; // surfaces as an error at the blocking flush
-        }
-        let n = q.push_batch(buf);
-        if n > 0 {
-            buf.drain(..n);
-            progress = true;
-        }
-    }
-    if progress {
-        shared.monitor.notify_activity();
-    }
+/// A stage's communication and blocking state, and the worker's [`Env`]:
+/// shared memory, plus the stage's batched queue endpoints. A queue
+/// operation that blocks waits inside the `Env` call; one that can never
+/// complete (poison, a shared queue side, a park verdict, abort) records
+/// why in `stop` and reports "did not complete".
+struct Stage<'a, 'p> {
+    shared: &'a Shared<'p>,
+    thread: usize,
+    ends: Endpoints<'a>,
+    flushes: BatchHistogram,
+    refills: BatchHistogram,
+    faults: FaultSession,
+    blocked_time: Duration,
+    backoff: Backoff,
+    /// Why the last queue operation did not complete.
+    stop: Option<QueueOutcome>,
+    /// Whether a cursor moved since peers were last woken.
+    owe_wakeup: bool,
 }
 
-/// Spin-then-park loop shared by flushes and refills. `attempt` performs
-/// the non-blocking queue operation, returning the first consumed value
-/// (or 0 for flushes) on completion; it may make partial progress across
-/// calls. `forced_fails` attempts are failed artificially first (fault
-/// injection; `u32::MAX` stalls the operation forever — the watchdog or
-/// deadline then ends the run).
-///
-/// While waiting, the worker side-flushes its other pending output
-/// buffers (`out`) and registers them in its monitor [`WaitSet`], so
-/// buffered values cannot deadlock the pipeline and a pending flush to a
-/// poisoned queue is converted into a structured error instead of a hang.
-#[allow(clippy::too_many_arguments)]
-fn comm_wait(
-    shared: &Shared<'_>,
-    thread: usize,
-    info: BlockInfo,
-    out: &mut [Vec<i64>],
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-    mut forced_fails: u32,
-    mut attempt: impl FnMut() -> Option<i64>,
-) -> QueueOutcome {
-    let queue = &shared.queues[info.queue];
-    let mut attempt = move || {
-        if forced_fails > 0 {
-            if forced_fails != u32::MAX {
-                forced_fails -= 1;
+impl<'a> Stage<'a, '_> {
+    /// Claims this stage's `side` of queue `qi` on first use. Returns
+    /// `false`, with the reason kept in `stop`, when another stage holds
+    /// it.
+    #[cold]
+    fn claim(&mut self, qi: usize, side: QueueSide) -> bool {
+        let shared: &'a Shared<'_> = self.shared;
+        let queue = &shared.queues[qi];
+        let claimed = match side {
+            QueueSide::Producer => queue
+                .claim_producer(self.thread)
+                .map(|p| self.ends.outs[qi] = Some(p)),
+            QueueSide::Consumer => queue
+                .claim_consumer(self.thread)
+                .map(|c| self.ends.ins[qi] = Some(c)),
+        };
+        let Err(owner) = claimed else { return true };
+        self.stop = Some(QueueOutcome::Failed(RtError::QueueShared {
+            queue: qi,
+            side,
+            owner,
+            stage: self.thread,
+        }));
+        false
+    }
+
+    /// The outcome of an operation that found `queue` poisoned.
+    fn poisoned_queue(&self, queue: usize) -> QueueOutcome {
+        QueueOutcome::Failed(RtError::QueuePoisoned {
+            queue,
+            stage: self.thread,
+        })
+    }
+
+    /// Publishes every pending value and releases every read slot — the
+    /// before-blocking, stage-end and cadence rules — except the pending
+    /// values of `hold`, the queue whose own (stalled) publish is under
+    /// way, then wakes parked peers if any cursor moved since they were
+    /// last woken. Values for a poisoned queue stay unpublished; the first
+    /// such queue is returned.
+    fn publish_all(&mut self, hold: Option<usize>) -> Option<usize> {
+        let queues = &self.shared.queues;
+        let mut poisoned = None;
+        let mut moved = std::mem::take(&mut self.owe_wakeup);
+        for (qi, p) in self.ends.outs.iter_mut().enumerate() {
+            let Some(p) = p else { continue };
+            if p.pending() == 0 || hold == Some(qi) {
+                continue;
             }
-            return None;
+            if queues[qi].is_poisoned() {
+                poisoned.get_or_insert(qi);
+            } else {
+                p.publish();
+                moved = true;
+            }
         }
-        attempt()
-    };
-    // A produce onto a poisoned queue can never be consumed; a consume may
-    // still drain buffered values, but once the queue is empty nothing will
-    // ever arrive.
-    let poisoned = |queue: &SpscQueue| {
+        for c in self.ends.ins.iter_mut().flatten() {
+            moved |= c.release() > 0;
+        }
+        if moved {
+            self.shared.monitor.notify_activity();
+        }
+        poisoned
+    }
+
+    /// Whether `op` can never complete: a produce onto a poisoned queue can
+    /// never be consumed; a consume may still drain published values, but
+    /// once the queue is empty nothing will ever arrive.
+    fn poisoned(&self, op: BlockInfo) -> bool {
+        let queue = &self.shared.queues[op.queue];
         queue.is_poisoned()
-            && match info.kind {
+            && match op.kind {
                 BlockKind::Produce => true,
                 BlockKind::Consume => queue.is_empty(),
             }
-    };
-    // Fast path: no contention, no timing overhead.
-    if poisoned(queue) {
-        return QueueOutcome::Poisoned(info.queue);
     }
-    if let Some(v) = attempt() {
-        shared.monitor.notify_activity();
-        return QueueOutcome::Done(v);
+
+    /// Performs one queue operation. `attempt` is the non-blocking try; it
+    /// returns the consumed value (0 on the producer side) once the
+    /// operation completes. `forced_fails` attempts are failed
+    /// artificially first (fault injection; `u32::MAX` stalls the
+    /// operation forever — the watchdog or deadline then ends the run).
+    /// `hold` is passed to [`publish_all`](Self::publish_all) if the
+    /// operation blocks.
+    #[inline]
+    fn queue_op(
+        &mut self,
+        op: BlockInfo,
+        hold: Option<usize>,
+        mut forced_fails: u32,
+        mut attempt: impl FnMut(&mut Self) -> Option<i64>,
+    ) -> QueueOutcome {
+        let mut attempt = move |stage: &mut Self| {
+            if forced_fails > 0 {
+                if forced_fails != u32::MAX {
+                    forced_fails -= 1;
+                }
+                return None;
+            }
+            attempt(stage)
+        };
+        if self.poisoned(op) {
+            return self.poisoned_queue(op.queue);
+        }
+        match attempt(self) {
+            Some(v) => QueueOutcome::Done(v),
+            None => self.block(op, hold, attempt),
+        }
     }
-    match info.kind {
-        BlockKind::Produce => queue.count_producer_block(),
-        BlockKind::Consume => queue.count_consumer_block(),
-    };
-    let began = Instant::now();
-    let mut tries: u32 = 0;
-    let outcome =
-        loop {
-            if poisoned(queue) {
-                break QueueOutcome::Poisoned(info.queue);
+
+    /// The spin→yield→park loop of an operation whose first attempt
+    /// failed. Publishes and releases everything first, so this stage
+    /// holds nothing a peer could be waiting for while it waits.
+    #[cold]
+    #[inline(never)]
+    fn block(
+        &mut self,
+        op: BlockInfo,
+        hold: Option<usize>,
+        mut attempt: impl FnMut(&mut Self) -> Option<i64>,
+    ) -> QueueOutcome {
+        let shared = self.shared;
+        let queue = &shared.queues[op.queue];
+        match op.kind {
+            BlockKind::Produce => queue.count_producer_block(),
+            BlockKind::Consume => queue.count_consumer_block(),
+        };
+        let began = Instant::now();
+        let mut tries: u32 = 0;
+        let poisoned_pending = self.publish_all(hold);
+        let outcome = loop {
+            // Values for a poisoned queue can never be delivered — fail
+            // now rather than wait with them unpublished.
+            if let Some(qi) = poisoned_pending {
+                break self.poisoned_queue(qi);
             }
-            // A pending flush to a poisoned queue can never be delivered —
-            // fail now rather than spin on a satisfiable-but-unflushable set.
-            if let Some(qi) = out.iter().enumerate().find_map(|(qi, b)| {
-                (!b.is_empty() && shared.queues[qi].is_poisoned()).then_some(qi)
-            }) {
-                break QueueOutcome::Poisoned(qi);
+            if self.poisoned(op) {
+                break self.poisoned_queue(op.queue);
             }
-            if let Some(v) = attempt() {
-                shared.monitor.notify_activity();
+            if let Some(v) = attempt(self) {
                 break QueueOutcome::Done(v);
             }
             if shared.abort.load(Ordering::Relaxed) {
                 break QueueOutcome::Stop(WorkerEnd::Aborted);
             }
-            side_flush(shared, out);
-            backoff.retries += 1;
+            self.backoff.retries += 1;
             tries += 1;
             if tries <= shared.spins {
                 std::hint::spin_loop();
@@ -375,122 +429,83 @@ fn comm_wait(
                 std::thread::yield_now();
             } else {
                 tries = 0;
-                backoff.parks += 1;
-                let set = WaitSet {
-                    primary: info,
-                    flush: out
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| !b.is_empty())
-                        .map(|(qi, _)| qi)
-                        .collect(),
-                };
-                match shared.monitor.wait(thread, &set, &shared.queues) {
+                self.backoff.parks += 1;
+                match shared.monitor.wait(self.thread, op, &shared.queues) {
                     WaitOutcome::Ready => {}
                     WaitOutcome::Park => break QueueOutcome::Stop(WorkerEnd::Parked),
                     WaitOutcome::Fail => break QueueOutcome::Stop(WorkerEnd::Aborted),
                 }
             }
         };
-    shared.progress.fetch_add(1, Ordering::Relaxed);
-    *blocked_time += began.elapsed();
-    outcome
-}
-
-/// A stage's communication and blocking state, and the worker's [`Env`]:
-/// shared memory, plus the stage's batched queue endpoints. A queue
-/// operation that blocks waits inside the `Env` call; one that can never
-/// complete (poison, a park verdict, abort) records why in `stop` and
-/// reports "did not complete".
-struct Stage<'a, 'p> {
-    shared: &'a Shared<'p>,
-    thread: usize,
-    comm: Comm,
-    faults: FaultSession,
-    blocked_time: Duration,
-    backoff: Backoff,
-    /// Why the last queue operation did not complete.
-    stop: Option<QueueOutcome>,
-}
-
-impl Stage<'_, '_> {
-    /// Blocking flush of output buffer `qi`: publishes every buffered value
-    /// (possibly across several partial `push_batch`es while the consumer
-    /// drains) before returning `Done`.
-    fn flush_queue(&mut self, qi: usize) -> QueueOutcome {
-        let shared = self.shared;
-        let comm = &mut self.comm;
-        let mut buf = std::mem::take(&mut comm.out[qi]);
-        let q = &shared.queues[qi];
-        let info = BlockInfo {
-            queue: qi,
-            kind: BlockKind::Produce,
-        };
-        let stall = self.faults.stall_budget();
-        let total = buf.len();
-        let mut pos = 0usize;
-        let res = comm_wait(
-            shared,
-            self.thread,
-            info,
-            &mut comm.out,
-            &mut self.blocked_time,
-            &mut self.backoff,
-            stall,
-            || {
-                let n = q.push_batch(&buf[pos..]);
-                pos += n;
-                if pos == total {
-                    return Some(0); // `comm_wait` wakes the consumer
-                }
-                if n > 0 {
-                    // Wake the consumer for the part published so far.
-                    shared.monitor.notify_activity();
-                }
-                None
-            },
-        );
-        if matches!(res, QueueOutcome::Done(_)) {
-            comm.flushes.add(total);
-        }
-        buf.clear();
-        comm.out[qi] = buf; // keep the allocation
-        res
+        shared.progress.fetch_add(1, Ordering::Relaxed);
+        self.blocked_time += began.elapsed();
+        outcome
     }
 
-    /// Blocking refill of input buffer `qi`: acquires up to the queue's
-    /// batch size in one `pop_batch` (never waiting for a full chunk) and
-    /// returns the first value; the rest are served from the local buffer.
-    fn refill_queue(&mut self, qi: usize) -> QueueOutcome {
-        let shared = self.shared;
-        let comm = &mut self.comm;
-        let mut buf = std::mem::take(&mut comm.inq[qi]);
-        buf.vals.clear();
-        buf.next = 0;
-        let q = &shared.queues[qi];
-        let info = BlockInfo {
-            queue: qi,
-            kind: BlockKind::Consume,
-        };
+    /// The publish of queue `qi`'s pending values once `b` of them are
+    /// written, or at stage end: a fault-hooked queue operation.
+    fn publish_op(&mut self, qi: usize) -> bool {
         let stall = self.faults.stall_budget();
-        let max = shared.batches[qi];
-        let vals = &mut buf.vals;
-        let res = comm_wait(
-            shared,
-            self.thread,
-            info,
-            &mut comm.out,
-            &mut self.blocked_time,
-            &mut self.backoff,
-            stall,
-            || (q.pop_batch(vals, max) > 0).then(|| vals[0]),
-        );
-        if matches!(res, QueueOutcome::Done(_)) {
-            buf.next = 1;
-            comm.refills.add(buf.vals.len());
+        let mut n = 0;
+        let outcome = self.queue_op(BlockInfo::produce(qi), Some(qi), stall, |stage| {
+            n = stage.ends.outs[qi].as_mut()?.publish();
+            stage.owe_wakeup = true;
+            Some(0)
+        });
+        if n > 0 {
+            self.flushes.add(n);
         }
-        comm.inq[qi] = buf; // keep the allocation
-        res
+        self.done(outcome).is_some()
+    }
+
+    /// A produce whose ring is full, or whose producer side this stage has
+    /// not claimed yet.
+    #[cold]
+    #[inline(never)]
+    fn produce_slow(&mut self, qi: usize, value: i64) -> bool {
+        if self.ends.outs[qi].is_none() && !self.claim(qi, QueueSide::Producer) {
+            return false;
+        }
+        let outcome = self.queue_op(BlockInfo::produce(qi), None, 0, |stage| {
+            stage.ends.outs[qi].as_mut()?.try_write(value).then_some(0)
+        });
+        if self.done(outcome).is_none() {
+            return false;
+        }
+        let batch = self.shared.batches[qi];
+        self.ends.outs[qi]
+            .as_ref()
+            .is_some_and(|p| p.pending() < batch)
+            || self.publish_op(qi)
+    }
+
+    /// A consume whose acquired batch is used up: a fault-hooked refill of
+    /// up to `b` values, or the claim of the consumer side on first use.
+    #[cold]
+    #[inline(never)]
+    fn consume_slow(&mut self, qi: usize) -> Option<i64> {
+        if self.ends.ins[qi].is_none() && !self.claim(qi, QueueSide::Consumer) {
+            return None;
+        }
+        let stall = self.faults.stall_budget();
+        let batch = self.shared.batches[qi];
+        let mut n = 0;
+        let outcome = self.queue_op(BlockInfo::consume(qi), None, stall, |stage| {
+            let c = stage.ends.ins[qi].as_mut()?;
+            n = c.refill(batch);
+            let v = c.read()?;
+            if c.is_drained() {
+                c.release();
+            }
+            // The acquired values left the queue: a producer may be waiting
+            // for room.
+            stage.owe_wakeup = true;
+            Some(v)
+        });
+        if n > 0 {
+            self.refills.add(n);
+        }
+        self.done(outcome)
     }
 
     /// The value of a completed queue operation, or `None` with the reason
@@ -533,31 +548,41 @@ impl Env for Stage<'_, '_> {
         self.shared.memory.len()
     }
 
+    /// Writes `value` straight into its ring slot; publishes once `b`
+    /// values are pending.
     #[inline]
     fn produce(&mut self, queue: QueueId, value: i64) -> bool {
         let qi = queue.index();
-        self.comm.out[qi].push(value);
-        if self.comm.out[qi].len() < self.shared.batches[qi] {
-            return true;
+        if let Some(p) = &mut self.ends.outs[qi] {
+            if p.try_write(value) {
+                return p.pending() < self.shared.batches[qi] || self.publish_op(qi);
+            }
         }
-        let outcome = self.flush_queue(qi);
-        self.done(outcome).is_some()
+        self.produce_slow(qi, value)
     }
 
+    /// Reads the next value straight out of its ring slot; releases the
+    /// acquired batch's slots as soon as the last of them is read. Nobody
+    /// waits for a release (the ring reserves room for the batch being
+    /// read), so it wakes nobody.
     #[inline]
     fn consume(&mut self, queue: QueueId) -> Option<i64> {
         let qi = queue.index();
-        if let Some(v) = self.comm.inq[qi].pop() {
-            return Some(v);
+        if let Some(c) = &mut self.ends.ins[qi] {
+            if let Some(v) = c.read() {
+                if c.is_drained() {
+                    c.release();
+                }
+                return Some(v);
+            }
         }
-        let outcome = self.refill_queue(qi);
-        self.done(outcome)
+        self.consume_slow(qi)
     }
 }
 
 /// Runs hardware context `thread` to completion. Errors are reported to the
 /// monitor (first failure wins) and surface as an `Aborted` report.
-pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
+pub(crate) fn run_worker<'a>(shared: &'a Shared<'_>, thread: usize) -> WorkerReport<'a> {
     if shared.faults.is_some() {
         worker_loop::<true>(shared, thread)
     } else {
@@ -566,18 +591,25 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
 }
 
 /// The worker loop proper. `FAULTS` selects whether the per-instruction
-/// [`FaultSession::on_step`] hook is compiled in; the flush/refill stall
+/// [`FaultSession::on_step`] hook is compiled in; the publish/refill stall
 /// hook runs in both instances (it is per queue operation, not per step).
-fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> WorkerReport {
+fn worker_loop<'a, const FAULTS: bool>(shared: &'a Shared<'_>, thread: usize) -> WorkerReport<'a> {
     let started = Instant::now();
+    let num_queues = shared.queues.len();
     let mut stage = Stage {
         shared,
         thread,
-        comm: Comm::new(shared.queues.len()),
+        ends: Endpoints {
+            outs: (0..num_queues).map(|_| None).collect(),
+            ins: (0..num_queues).map(|_| None).collect(),
+        },
+        flushes: BatchHistogram::default(),
+        refills: BatchHistogram::default(),
         faults: FaultSession::new(shared.faults, thread),
         blocked_time: Duration::ZERO,
         backoff: Backoff::default(),
         stop: None,
+        owe_wakeup: false,
     };
     let code = &shared.code;
     let mut stack: Vec<Frame> = vec![code.new_frame(shared.program.thread_entries()[thread])];
@@ -591,10 +623,7 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
     };
     // Converts the outcome of a queue operation that did not complete.
     let queue_stop = |end: QueueOutcome| match end {
-        QueueOutcome::Poisoned(queue) => fail(RtError::QueuePoisoned {
-            queue,
-            stage: thread,
-        }),
+        QueueOutcome::Failed(err) => fail(err),
         QueueOutcome::Stop(e) => e,
         QueueOutcome::Done(_) => unreachable!("Done handled by the caller"),
     };
@@ -613,9 +642,9 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
             if shared.abort.load(Ordering::Relaxed) {
                 break 'run WorkerEnd::Aborted;
             }
-            // Cadence flush: don't let buffered values linger while this
-            // stage computes without touching its queues.
-            side_flush(shared, &mut stage.comm.out);
+            // Cadence publish: don't let written values or read slots
+            // linger while this stage computes without touching its queues.
+            stage.publish_all(None);
         }
         budget -= 1;
         steps += 1;
@@ -640,24 +669,21 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
         }
     };
 
-    // Stage-end flush: a terminating stage still owes its consumers
-    // whatever it buffered since the last flush.
+    // Stage-end publish: a terminating stage still owes its peers whatever
+    // it wrote or read since its last publish or release.
     if end == WorkerEnd::Terminated {
-        for qi in 0..shared.queues.len() {
-            if stage.comm.out[qi].is_empty() {
-                continue;
-            }
-            match stage.flush_queue(qi) {
-                QueueOutcome::Done(_) => {}
-                other => {
-                    end = queue_stop(other);
-                    break;
-                }
+        for qi in 0..num_queues {
+            let pending = stage.ends.outs[qi]
+                .as_ref()
+                .is_some_and(|p| p.pending() > 0);
+            if pending && !stage.publish_op(qi) {
+                end = queue_stop(stage.stop.take().expect("a failed publish records why"));
+                break;
             }
         }
     }
-
     if end == WorkerEnd::Terminated {
+        stage.publish_all(None);
         shared.monitor.terminate(thread, &shared.queues);
     }
     shared.stage_steps[thread].store(steps, Ordering::Relaxed);
@@ -671,8 +697,9 @@ fn worker_loop<const FAULTS: bool>(shared: &Shared<'_>, thread: usize) -> Worker
         blocked: stage.blocked_time,
         retries: stage.backoff.retries,
         parks: stage.backoff.parks,
-        flushes: stage.comm.flushes,
-        refills: stage.comm.refills,
+        flushes: stage.flushes,
+        refills: stage.refills,
+        _endpoints: stage.ends,
     }
 }
 

@@ -41,8 +41,9 @@
 //! `--run native` failures map the structured runtime error to a distinct
 //! code so scripts and CI can tell a deadlock from a panic from a timeout:
 //! deadlock 10, watchdog 11, stage panic 12, queue poisoned 13, deadline
-//! timeout 14, cancelled 15, memory out of bounds 20, bad indirect call
-//! target 21, step limit 22, return from entry 23.
+//! timeout 14, cancelled 15, queue shared by two producers or two
+//! consumers 16, memory out of bounds 20, bad indirect call target 21,
+//! step limit 22, return from entry 23.
 
 use std::process::ExitCode;
 
@@ -95,6 +96,7 @@ fn rt_exit_code(e: &RtError) -> u8 {
         RtError::QueuePoisoned { .. } => 13,
         RtError::Timeout { .. } => 14,
         RtError::Cancelled => 15,
+        RtError::QueueShared { .. } => 16,
         RtError::MemoryOutOfBounds { .. } => 20,
         RtError::BadIndirectTarget(_) => 21,
         RtError::StepLimit(_) => 22,

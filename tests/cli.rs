@@ -131,6 +131,25 @@ fn deadlocked_pipeline_exits_with_deadlock_code() {
 }
 
 #[test]
+fn second_producer_on_a_queue_exits_with_queue_shared_code() {
+    // Two threads produce into one queue. A racing `tail` would lose
+    // values at random and end in a false deadlock; the runtime instead
+    // refuses the second producer on its first produce, on every run.
+    let file = fixture("two_producers.ir");
+    for run in 0..20 {
+        let out = dswpc(&[&file, "--run", "native"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(16), "run {run}, stderr: {err}");
+        assert!(err.contains("more than one producer"), "run {run}: {err}");
+    }
+    // The functional executor's unbounded queues still accept it.
+    let out = dswpc(&[&file, "--run", "functional"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("[0]=999999000000"), "stdout: {stdout}");
+}
+
+#[test]
 fn exceeded_deadline_exits_with_timeout_code() {
     // Scan seeds for a plan whose only lethal fault is a permanent stall
     // firing within the pipeline fixture's handful of queue operations.

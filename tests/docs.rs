@@ -82,6 +82,7 @@ fn readme_exit_code_table_matches_driver() {
         ("QueuePoisoned", "queue poisoned"),
         ("Timeout", "deadline timeout"),
         ("Cancelled", "cancelled"),
+        ("QueueShared", "queue shared"),
         ("MemoryOutOfBounds", "memory out of bounds"),
         ("BadIndirectTarget", "bad indirect call target"),
         ("StepLimit", "step limit exceeded"),
